@@ -28,4 +28,5 @@ let () =
       ("university", Test_university.suite);
       ("enterprise", Test_enterprise.suite);
       ("fleet", Test_fleet.suite);
+      ("golden", Test_golden.suite);
     ]
