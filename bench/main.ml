@@ -110,11 +110,11 @@ let report_engine () =
     let obs = Heimdall_obs.Obs.create () in
     let engine = Engine.create ~domains ~obs ?cache_dir () in
     let cold_s, cold =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Metrics.sweep_all ~engine ~production:net ~policies ())
     in
     let warm_s, warm =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Metrics.sweep_all ~engine ~production:net ~policies ())
     in
     let stats = Engine.stats engine in
@@ -192,7 +192,7 @@ let report_lint () =
   let measure name net =
     let run domains =
       let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_lint.Lint.check_network ~engine net)
     in
     let f1, t1 = run 1 in
@@ -243,21 +243,21 @@ let report_sem () =
     (* Algebra kernel: compile every ACL to its exact permit set, then
        run the exact dead-rule analysis (ACL004/ACL005 backbone). *)
     let sets, t_permit =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           List.map Heimdall_sem.Acl_sem.permit_set acls)
     in
     let cubes =
-      List.fold_left (fun acc s -> acc + Heimdall_sem.Packet_set.cube_count s) 0 sets
+      List.fold_left (fun acc s -> acc + Heimdall_net.Packet_set.cube_count s) 0 sets
     in
     let _, t_dead =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           List.map Heimdall_sem.Acl_sem.dead_rules acls)
     in
     (* Whole-network semantic pass through the engine fan-out, 1 domain
        vs N — the report must be byte-identical across domain counts. *)
     let run domains =
       let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_lint.Lint.check_network ~engine net)
     in
     let f1, t1 = run 1 in
@@ -288,106 +288,46 @@ let report_sem () =
   let rows = [ enterprise; university ] in
   (* Plan analyzer: static pre-flight over every scenario ticket, 1
      domain vs N (byte-identical), plus the soundness tally — on how
-     many tickets the predicted delta contains the exact replay diff. *)
+     many tickets the plan oracle judges the static analysis sound
+     against the twin replay. *)
   print_string "== Plan analysis: static pre-flight over scenario tickets ==\n";
   let measure_plan name =
-    let open Heimdall_sem in
     let sc = Option.get (Experiments.scenario_of_name name) in
+    let prepared =
+      List.map
+        (fun issue -> Heimdall_msp.Workflow.prepare ~production:sc.Experiments.net issue)
+        sc.Experiments.issues
+    in
     let tickets =
       List.map
-        (fun (issue : Heimdall_msp.Issue.t) ->
-          let broken = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
-          let slice =
-            Heimdall_twin.Twin.slice_nodes ~production:broken
-              ~endpoints:issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.endpoints
-              ()
-          in
-          let spec =
-            Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-              issue.Heimdall_msp.Issue.ticket
-          in
-          {
-            Heimdall_lint.Plan_lint.label = issue.Heimdall_msp.Issue.name;
-            spec;
-            scope = slice;
-            commands = issue.Heimdall_msp.Issue.fix_commands;
-          })
-        sc.Experiments.issues
+        (fun (p : Heimdall_msp.Workflow.prepared) ->
+          Plan_oracle.ticket ~label:p.issue.name p)
+        prepared
     in
     let run domains =
       let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_lint.Lint.check_plans ~engine ~network:sc.Experiments.net
             ~policies:sc.Experiments.policies tickets)
     in
     let f1, t1 = run 1 in
     let fn, tn = run n in
     let identical = List.equal Heimdall_lint.Diagnostic.equal f1 fn in
-    (* Soundness tally: predicted static delta vs the exact ACL diff the
-       twin replay produces. *)
-    let agree =
-      List.fold_left
-        (fun acc (issue : Heimdall_msp.Issue.t) ->
-          let broken = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
-          let em =
-            Heimdall_twin.Twin.build ~production:broken
-              ~endpoints:issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.endpoints
-              ()
-          in
-          let session =
-            Heimdall_twin.Twin.open_session
-              ~privilege:Heimdall_privilege.Privilege.allow_all em
-          in
-          ignore
-            (Heimdall_twin.Session.exec_many session
-               issue.Heimdall_msp.Issue.fix_commands);
-          let script =
-            Plan_sem.script_of_commands issue.Heimdall_msp.Issue.fix_commands
-          in
-          let a = Plan_sem.analyze ~network:broken script.Plan_sem.script_changes in
-          let before = Heimdall_twin.Emulation.baseline em in
-          let after = Heimdall_twin.Emulation.network em in
-          let open Heimdall_control in
-          let exact =
-            List.fold_left
-              (fun acc node ->
-                let find net =
-                  Option.bind (Network.config node net) (fun cfg ->
-                      Some (cfg : Heimdall_config.Ast.t).acls)
-                  |> Option.value ~default:[]
-                in
-                let names =
-                  List.sort_uniq String.compare
-                    (List.map
-                       (fun (acl : Heimdall_net.Acl.t) -> acl.name)
-                       (find before @ find after))
-                in
-                List.fold_left
-                  (fun acc acl_name ->
-                    let acl_of net =
-                      match Network.config node net with
-                      | Some cfg ->
-                          Option.value
-                            (Heimdall_config.Ast.find_acl acl_name cfg)
-                            ~default:(Heimdall_net.Acl.empty acl_name)
-                      | None -> Heimdall_net.Acl.empty acl_name
-                    in
-                    let d =
-                      Acl_sem.diff ~before:(acl_of before) ~after:(acl_of after)
-                    in
-                    Packet_set.union acc
-                      (Packet_set.union d.Acl_sem.newly_permitted
-                         d.Acl_sem.newly_denied))
-                  acc names)
-              Packet_set.empty (Network.node_names before)
-          in
-          if Packet_set.subset exact a.Plan_sem.delta then acc + 1 else acc)
-        0 sc.Experiments.issues
+    let verdicts =
+      List.map
+        (fun (p : Heimdall_msp.Workflow.prepared) ->
+          Plan_oracle.check ~policies:sc.Experiments.policies
+            ~label:("ticket:" ^ p.issue.name) (Plan_oracle.replay p))
+        prepared
     in
+    let count f = List.length (List.filter f verdicts) in
+    let delta_sound = count (fun (v : Plan_oracle.verdict) -> v.delta_contained) in
+    let sound = count Plan_oracle.sound in
+    if sound < List.length verdicts then gate_failed := true;
     Printf.printf
-      "  %-10s %d tickets, %d findings; 1 domain %.4f s; %d domains %.4f s; identical: %b; delta sound: %d/%d\n"
-      name (List.length tickets) (List.length f1) t1 n tn identical agree
-      (List.length tickets);
+      "  %-10s %d tickets, %d findings; 1 domain %.4f s; %d domains %.4f s; identical: %b; delta sound: %d/%d; plan sound: %d/%d\n"
+      name (List.length tickets) (List.length f1) t1 n tn identical delta_sound
+      (List.length tickets) sound (List.length tickets);
     let open Heimdall_json in
     Json.Obj
       [
@@ -397,7 +337,8 @@ let report_sem () =
         ("wall_s_1_domain", Json.Float t1);
         ("wall_s_n_domains", Json.Float tn);
         ("identical_across_domains", Json.Bool identical);
-        ("delta_sound", Json.Int agree);
+        ("delta_sound", Json.Int delta_sound);
+        ("plan_sound", Json.Int sound);
       ]
   in
   let plan_enterprise = measure_plan "enterprise" in
@@ -444,7 +385,7 @@ let report_chaos () =
   in
   let run_all domains =
     let engine = Heimdall_verify.Engine.create ~domains () in
-    Heimdall_msp.Timing.elapsed (fun () ->
+    Heimdall_obs.Clock.elapsed (fun () ->
         List.map
           (fun issue -> Chaos.run ~engine ~scenario:sc ~issue ~seed ())
           sc.Experiments.issues)
@@ -550,7 +491,7 @@ let report_obs () =
     let rec go best i =
       if i = 0 then best
       else
-        let _, t = Heimdall_msp.Timing.elapsed (fun () -> ignore (f ())) in
+        let _, t = Heimdall_obs.Clock.elapsed (fun () -> ignore (f ())) in
         go (Float.min best t) (i - 1)
     in
     go infinity reps
@@ -733,146 +674,86 @@ let run_benchmarks () =
 (* ------------------------------------------------------------------ *)
 
 (* Generated fleets at three sizes (largest 500+ devices), each through
-   generation, dataplane, policy check and lint with wall times, peak
-   RSS, engine cache stats, and a 1-vs-N-domain verdict identity check;
-   the two smaller fleets also push an injected issue through the full
-   workflow.  Everything gates: a nondeterministic generator, a policy
-   violation, a lint error or a cross-domain verdict drift fails the
-   bench (and CI). *)
+   the library's scale pipeline and its gates ({!Scale.run}); the two
+   smaller fleets also push their first issue through the full
+   workflow.  Any failed gate fails the bench (and CI). *)
 let report_scale () =
-  let open Heimdall_verify in
-  let open Heimdall_control in
   print_string "== Fleet scale: generated fleets vs device count ==\n";
-  let n = max 2 (Engine.default_domains ()) in
-  let single_core = Engine.default_domains () < 2 in
-  let all_ok = ref true in
+  let single_core = Heimdall_verify.Engine.default_domains () < 2 in
+  let passed = ref true in
   let sections =
     List.map
-      (fun (spec, run_issue) ->
+      (fun (spec, issues) ->
         let params =
           match Fleetgen.spec_of_string spec with
           | Ok p -> p
           | Error m -> failwith ("bad bench spec " ^ spec ^ ": " ^ m)
         in
-        let fleet, gen_s =
-          Heimdall_msp.Timing.elapsed (fun () -> Fleetgen.generate params)
-        in
-        let devices = Fleetgen.device_count fleet in
-        let links = Fleetgen.link_count fleet in
-        let deterministic =
-          Network.digest fleet.Fleetgen.net
-          = Network.digest (Fleetgen.generate params).Fleetgen.net
-        in
-        let run domains =
-          let engine = Engine.create ~domains () in
-          let dp, dp_s =
-            Heimdall_msp.Timing.elapsed (fun () ->
-                Engine.dataplane engine fleet.Fleetgen.net)
-          in
-          let report, check_s =
-            Heimdall_msp.Timing.elapsed (fun () ->
-                Policy.check_all ~engine dp fleet.Fleetgen.policies)
-          in
-          let stats = Engine.stats engine in
-          Engine.shutdown engine;
-          (dp_s, check_s, report, stats)
-        in
-        let dp_s1, check_s1, report1, _ = run 1 in
-        let dp_sn, check_sn, reportn, statsn = run n in
-        let fingerprint (r : Policy.report) =
-          ( r.Policy.total,
-            List.map
-              (fun (p, reason) -> (Policy.to_string p, reason))
-              r.Policy.violations )
-        in
-        let verdicts_ok = fingerprint report1 = fingerprint reportn in
-        let findings, lint_s =
-          Heimdall_msp.Timing.elapsed (fun () ->
-              Heimdall_lint.Lint.check_network fleet.Fleetgen.net)
-        in
-        let lint_errors =
-          List.length
-            (List.filter
-               (fun (d : Heimdall_lint.Diagnostic.t) ->
-                 d.severity = Heimdall_lint.Diagnostic.Error)
-               findings)
-        in
-        let workflow_s =
-          if not run_issue then None
-          else
-            let issue = List.hd fleet.Fleetgen.issues in
-            let run, s =
-              Heimdall_msp.Timing.elapsed (fun () ->
-                  Heimdall_msp.Workflow.run_heimdall
-                    ~production:fleet.Fleetgen.net
-                    ~policies:fleet.Fleetgen.policies ~issue ())
-            in
-            if not run.Heimdall_msp.Workflow.resolved then all_ok := false;
-            Some s
-        in
-        let speedup = dp_s1 /. Float.max 1e-9 dp_sn in
-        let rss_kb = Option.value ~default:0 (Fleetgen.peak_rss_kb ()) in
-        let ok =
-          deterministic && verdicts_ok && lint_errors = 0
-          && report1.Policy.violations = []
-        in
-        if not ok then all_ok := false;
+        let r = Scale.run ~issues params in
+        if not (Scale.passed r) then passed := false;
+        let gate_ok stage = List.for_all (fun (g : Scale.gate) -> g.stage <> stage || g.ok) r.gates in
+        let deterministic = gate_ok Scale.Generation in
+        let verdicts_ok = gate_ok Scale.Verify in
+        let violations = List.length r.report.Heimdall_verify.Policy.violations in
+        let lint_errors = List.length (Scale.lint_errors r) in
+        let workflow_s = List.fold_left (fun acc (i : Scale.issue_run) -> acc +. i.wall_s) 0.0 r.issues in
+        let speedup = r.dataplane_s /. Float.max 1e-9 r.dataplane_n_s in
+        let rss_kb = Option.value ~default:0 r.peak_rss_kb in
         Printf.printf
           "%-38s %4d dev %4d links  gen %6.3f s  dp %6.3f s  check %6.3f s  \
            lint %6.3f s%s\n"
-          spec devices links gen_s dp_s1 check_s1 lint_s
-          (match workflow_s with
-          | Some s -> Printf.sprintf "  workflow %6.3f s" s
-          | None -> "");
+          spec (Fleetgen.device_count r.fleet) (Fleetgen.link_count r.fleet) r.generate_s
+          r.dataplane_s r.check_s r.lint_s
+          (if r.issues = [] then "" else Printf.sprintf "  workflow %6.3f s" workflow_s);
         Printf.printf
           "  deterministic: %b  verdicts 1=%d domains: %b  violations: %d  \
            lint errors: %d  dp speedup %.2fx%s  peak RSS %.1f MB\n"
-          deterministic n verdicts_ok
-          (List.length report1.Policy.violations)
-          lint_errors speedup
+          deterministic r.domains verdicts_ok violations lint_errors speedup
           (if single_core then " (single-core host)" else "")
           (float_of_int rss_kb /. 1024.);
+        List.iter
+          (fun (g : Scale.gate) -> if not g.ok then Printf.printf "  FAIL %s\n" g.name)
+          r.gates;
         let open Heimdall_json in
         Json.Obj
           ([
              ("spec", Json.String spec);
-             ("devices", Json.Int devices);
-             ("links", Json.Int links);
-             ("policies", Json.Int report1.Policy.total);
-             ("wall_s_generate", Json.Float gen_s);
-             ("wall_s_dataplane_1_domain", Json.Float dp_s1);
-             ("wall_s_dataplane_n_domains", Json.Float dp_sn);
-             ("wall_s_check_1_domain", Json.Float check_s1);
-             ("wall_s_check_n_domains", Json.Float check_sn);
-             ("wall_s_lint", Json.Float lint_s);
+             ("devices", Json.Int (Fleetgen.device_count r.fleet));
+             ("links", Json.Int (Fleetgen.link_count r.fleet));
+             ("policies", Json.Int r.report.Heimdall_verify.Policy.total);
+             ("wall_s_generate", Json.Float r.generate_s);
+             ("wall_s_dataplane_1_domain", Json.Float r.dataplane_s);
+             ("wall_s_dataplane_n_domains", Json.Float r.dataplane_n_s);
+             ("wall_s_check_1_domain", Json.Float r.check_s);
+             ("wall_s_check_n_domains", Json.Float r.check_n_s);
+             ("wall_s_lint", Json.Float r.lint_s);
              ("dataplane_speedup",
               if single_core then Json.String "skipped-single-core"
               else Json.Float speedup);
              ("deterministic", Json.Bool deterministic);
              ("verdicts_identical_across_domains", Json.Bool verdicts_ok);
-             ("violations", Json.Int (List.length report1.Policy.violations));
+             ("violations", Json.Int violations);
              ("lint_errors", Json.Int lint_errors);
              ("peak_rss_kb", Json.Int rss_kb);
-             ("engine_stats_n_domains", Engine.stats_to_json statsn);
+             ("engine_stats_n_domains", Heimdall_verify.Engine.stats_to_json r.stats_n);
+             ( "gates",
+               Json.Obj (List.map (fun (g : Scale.gate) -> (g.name, Json.Bool g.ok)) r.gates) );
            ]
-          @
-          match workflow_s with
-          | Some s -> [ ("wall_s_workflow_one_issue", Json.Float s) ]
-          | None -> []))
+          @ if r.issues = [] then [] else [ ("wall_s_workflow_one_issue", Json.Float workflow_s) ]))
       [
-        ("fat-tree:k=4", true);
-        ("fat-tree:k=8", true);
-        ("multi-campus:campuses=20:buildings=8", false);
+        ("fat-tree:k=4", `First);
+        ("fat-tree:k=8", `First);
+        ("multi-campus:campuses=20:buildings=8", `None);
       ]
   in
-  Printf.printf "scale gate: %s\n" (if !all_ok then "PASS" else "FAIL");
-  if not !all_ok then gate_failed := true;
+  Printf.printf "scale gate: %s\n" (if !passed then "PASS" else "FAIL");
+  if not !passed then gate_failed := true;
   let open Heimdall_json in
   persist_report ~key:"scale"
     (Json.Obj
        [
-         ("domains", Json.Int n);
-         ("passed", Json.Bool !all_ok);
+         ("domains", Json.Int (max 2 (Heimdall_verify.Engine.default_domains ())));
+         ("passed", Json.Bool !passed);
          ("sizes", Json.List sections);
        ]);
   print_newline ()
@@ -898,13 +779,13 @@ let report_poltree () =
         in
         let fleet = Fleetgen.generate params in
         let compiled, compile_s =
-          Heimdall_msp.Timing.elapsed (fun () ->
+          Heimdall_obs.Clock.elapsed (fun () ->
               Compile.compile_exn fleet.Fleetgen.poltree)
         in
         let run domains =
           let engine = Engine.create ~domains () in
           let findings, s =
-            Heimdall_msp.Timing.elapsed (fun () ->
+            Heimdall_obs.Clock.elapsed (fun () ->
                 Analysis.check ~engine ~policies:fleet.Fleetgen.policies compiled)
           in
           Engine.shutdown engine;

@@ -66,6 +66,26 @@ let find_issue (sc : Experiments.scenario) name =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "unknown issue %S (try vlan, ospf or isp)" name)
 
+(* An optional ISSUE: one named issue, or all of the scenario's. *)
+let issue_opt_arg what =
+  Arg.(
+    value
+    & pos 1 (some string) None
+    & info [] ~docv:"ISSUE"
+        ~doc:(Printf.sprintf "Issue to %s: vlan, ospf or isp (default: all three)." what))
+
+let resolve_issues (sc : Experiments.scenario) = function
+  | None -> sc.issues
+  | Some name -> (
+      match find_issue sc name with
+      | Ok i -> [ i ]
+      | Error m ->
+          prerr_endline m;
+          exit 1)
+
+let domains_arg doc =
+  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+
 (* ---------------- network ---------------- *)
 
 let network_cmd =
@@ -214,20 +234,6 @@ let replay_issues ~engine ~obs ~(sc : Experiments.scenario) issues =
     issues
 
 let obs_cmd =
-  let issue_opt_arg =
-    Arg.(
-      value
-      & pos 1 (some string) None
-      & info [] ~docv:"ISSUE"
-          ~doc:"Issue to replay: vlan, ospf or isp (default: all three).")
-  in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Engine domain pool for the instrumented run (default: auto).")
-  in
   let prometheus_out_arg =
     Arg.(
       value
@@ -236,16 +242,7 @@ let obs_cmd =
           ~doc:"Also write the Prometheus text exposition to $(docv).")
   in
   let run sc issue_name trace_out metrics domains cache_dir prometheus_out =
-    let issues =
-      match issue_name with
-      | None -> sc.Experiments.issues
-      | Some name -> (
-          match find_issue sc name with
-          | Ok i -> [ i ]
-          | Error m ->
-              prerr_endline m;
-              exit 1)
-    in
+    let issues = resolve_issues sc issue_name in
     let obs = Heimdall_obs.Obs.create () in
     let scoped =
       Heimdall_obs.Obs.scoped obs [ ("scenario", sc.Experiments.scenario_name) ]
@@ -268,7 +265,8 @@ let obs_cmd =
          "Replay a scenario's issues through the instrumented Heimdall workflow and \
           print the span tree, structured events and metrics")
     Term.(
-      const run $ network_arg $ issue_opt_arg $ trace_out_arg $ metrics_flag $ domains_arg
+      const run $ network_arg $ issue_opt_arg "replay" $ trace_out_arg $ metrics_flag
+      $ domains_arg "Engine domain pool for the instrumented run (default: auto)."
       $ dp_cache_arg $ prometheus_out_arg)
 
 (* ---------------- ticket ---------------- *)
@@ -341,13 +339,6 @@ let serve_cmd =
              (clean, injected drift, clear), self-scrape every endpoint and \
              exit — non-zero when a required series or drift transition is \
              missing.")
-  in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Engine domain pool (default: auto).")
   in
   (* The series the /metrics page must carry after a replay + drift
      cycle — the contract [make serve-smoke] holds the exporter to. *)
@@ -483,8 +474,8 @@ let serve_cmd =
           serve /metrics, /metrics.json, /healthz, /spans and /events over HTTP \
           while a drift monitor re-verifies the network on every digest change")
     Term.(
-      const run $ network_arg $ port_arg $ interval_arg $ once_flag $ domains_arg
-      $ dp_cache_arg)
+      const run $ network_arg $ port_arg $ interval_arg $ once_flag
+      $ domains_arg "Engine domain pool (default: auto)." $ dp_cache_arg)
 
 (* ---------------- privilege ---------------- *)
 
@@ -498,14 +489,8 @@ let privilege_cmd =
         prerr_endline m;
         exit 1
     | Ok issue ->
-        let broken = issue.Heimdall_msp.Issue.inject net in
-        let slice =
-          Heimdall_twin.Twin.slice_nodes ~production:broken
-            ~endpoints:issue.Heimdall_msp.Issue.ticket.endpoints ()
-        in
-        let spec =
-          Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-            issue.Heimdall_msp.Issue.ticket
+        let { Heimdall_msp.Workflow.slice; privilege = spec; _ } =
+          Heimdall_msp.Workflow.prepare ~production:net issue
         in
         Printf.printf "twin slice: %s\n\n" (String.concat ", " slice);
         if json then print_endline (Heimdall_privilege.Json_frontend.render ~pretty:true spec)
@@ -549,11 +534,7 @@ let lint_severity_arg =
         ~doc:"Only report findings at or above $(docv): error, warning or info.")
 
 let lint_domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Engine domain pool for the per-device/per-link fan-out (default: auto).")
+  domains_arg "Engine domain pool for the per-device/per-link fan-out (default: auto)."
 
 let lint_rules_flag =
   Arg.(
@@ -642,13 +623,9 @@ let lint_cmd =
         let priv_findings =
           List.concat_map
             (fun (issue : Heimdall_msp.Issue.t) ->
-              let broken = issue.inject net in
-              let slice =
-                Heimdall_twin.Twin.slice_nodes ~production:broken
-                  ~endpoints:issue.ticket.endpoints ()
-              in
-              let spec = Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
-              Lint.check_privilege ~network:broken ~label:("ticket:" ^ issue.name) spec)
+              let p = Heimdall_msp.Workflow.prepare ~production:net issue in
+              Lint.check_privilege ~network:p.broken ~label:("ticket:" ^ issue.name)
+                p.privilege)
             issues
         in
         let findings, fail =
@@ -672,72 +649,6 @@ let lint_cmd =
       $ lint_rules_flag $ dp_cache_arg)
 
 (* ---------------- analyze ---------------- *)
-
-(* Seed a deterministic union-shadow defect into the first ACL of the
-   network: two /17 permits whose union exactly covers a later /16 deny.
-   No pairwise check can see it — only the packet-set algebra (ACL004) —
-   which makes it the CI self-test that the semantic pass is alive. *)
-let seed_acl_defect net =
-  let victim =
-    List.find_map
-      (fun (node, (cfg : Heimdall_config.Ast.t)) ->
-        match cfg.acls with a :: _ -> Some (node, a.Acl.name) | [] -> None)
-      (Network.configs net)
-  in
-  match victim with
-  | None ->
-      prerr_endline "heimdall: --seed-defect needs a network with at least one ACL";
-      exit 124
-  | Some (node, acl_name) ->
-      let rule seq action src =
-        Acl.rule ~seq ~proto:(Acl.Proto Flow.Tcp) action (Prefix.of_string src)
-          Prefix.any
-      in
-      let cfg = Option.get (Network.config node net) in
-      let acl = Option.get (Heimdall_config.Ast.find_acl acl_name cfg) in
-      let acl =
-        acl
-        |> Acl.add_rule (rule 1 Acl.Permit "10.250.0.0/17")
-        |> Acl.add_rule (rule 2 Acl.Permit "10.250.128.0/17")
-        |> Acl.add_rule (rule 3 Acl.Deny "10.250.0.0/16")
-      in
-      let net =
-        Network.with_config node (Heimdall_config.Ast.update_acl acl cfg) net
-      in
-      (net, node, acl_name)
-
-(* Exact post-apply ACL delta of a replayed session: the union, over
-   every (device, ACL) pair, of the packets the edits opened or closed.
-   This is what the static plan analysis must over-approximate. *)
-let exact_session_delta before after =
-  let open Heimdall_config in
-  List.fold_left
-    (fun acc node ->
-      let acls net =
-        match Network.config node net with
-        | Some (cfg : Ast.t) -> cfg.acls
-        | None -> []
-      in
-      let names =
-        List.sort_uniq String.compare
-          (List.map (fun (a : Acl.t) -> a.Acl.name) (acls before @ acls after))
-      in
-      List.fold_left
-        (fun acc name ->
-          let find net =
-            match Network.config node net with
-            | Some cfg -> Option.value (Ast.find_acl name cfg) ~default:(Acl.empty name)
-            | None -> Acl.empty name
-          in
-          let d =
-            Heimdall_sem.Acl_sem.diff ~before:(find before) ~after:(find after)
-          in
-          Packet_set.union acc
-            (Packet_set.union d.Heimdall_sem.Acl_sem.newly_permitted
-               d.Heimdall_sem.Acl_sem.newly_denied))
-        acc names)
-    Packet_set.empty
-    (Network.node_names after)
 
 let analyze_cmd =
   let open Heimdall_lint in
@@ -770,134 +681,51 @@ let analyze_cmd =
         let name, net, issues = resolve_lint_target target in
         let net, seeded =
           if seed_defect then
-            let net, node, acl = seed_acl_defect net in
-            (net, Some (node, acl))
+            match Heimdall_poltree.Analysis.seed_acl004 net with
+            | Ok (net, node, acl) -> (net, Some (node, acl))
+            | Error m ->
+                prerr_endline ("heimdall: --seed-defect " ^ m);
+                exit 124
           else (net, None)
         in
         let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
         let net_findings = Lint.check_network ~engine net in
-        (* Per issue: lint the generated spec, then replay the scripted fix
-           in a twin session and ask the over-grant analyzer (PRV004) what
-           privilege the grant carried that the fix never exercised. *)
-        let issue_findings =
-          List.concat_map
+        let policies =
+          match Experiments.scenario_of_name target with
+          | Some sc when plan -> sc.Experiments.policies
+          | Some _ | None -> []
+        in
+        (* Per issue: lint the generated spec, replay the scripted fix once
+           in a twin session, ask the over-grant analyzer (PRV004) what
+           privilege the grant carried that the fix never exercised and,
+           with --plan, judge the static plan analysis against the same
+           replay. *)
+        let per_issue =
+          List.map
             (fun (issue : Heimdall_msp.Issue.t) ->
               let label = "ticket:" ^ issue.name in
-              let broken = issue.inject net in
-              let slice =
-                Heimdall_twin.Twin.slice_nodes ~production:broken
-                  ~endpoints:issue.ticket.endpoints ()
+              let p = Heimdall_msp.Workflow.prepare ~production:net issue in
+              let replay = Plan_oracle.replay p in
+              let findings =
+                Lint.check_privilege ~network:p.broken ~label p.privilege
+                @ Lint.check_privilege_usage ~label ~network:p.broken ~spec:p.privilege
+                    ~changes:replay.changes ()
               in
-              let spec = Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
-              let spec_findings = Lint.check_privilege ~network:broken ~label spec in
-              let em =
-                Heimdall_twin.Twin.build ~production:broken
-                  ~endpoints:issue.ticket.endpoints ()
+              let verdict =
+                if plan then Some (Plan_oracle.check ~engine ~policies ~label replay)
+                else None
               in
-              let session = Heimdall_twin.Twin.open_session ~privilege:spec em in
-              ignore (Heimdall_twin.Session.exec_many session issue.fix_commands);
-              let changes =
-                Heimdall_twin.Emulation.changes (Heimdall_twin.Session.emulation session)
-              in
-              let usage_findings =
-                Lint.check_privilege_usage ~label ~network:broken ~spec ~changes ()
-              in
-              spec_findings @ usage_findings)
+              (findings, verdict))
             issues
         in
-        (* With --plan: run the static plan-effect analysis per ticket,
-           then use twin replay as the soundness oracle — the static
-           answer must over-approximate the exact one, never undercut
-           it. *)
-        let plan_findings, plan_failures =
-          if not plan then ([], [])
-          else
-            let policies =
-              match Experiments.scenario_of_name target with
-              | Some sc -> sc.Experiments.policies
-              | None -> []
-            in
-            List.fold_left
-              (fun (findings_acc, fail_acc) (issue : Heimdall_msp.Issue.t) ->
-                let label = "ticket:" ^ issue.name in
-                let broken = issue.inject net in
-                let slice =
-                  Heimdall_twin.Twin.slice_nodes ~production:broken
-                    ~endpoints:issue.ticket.endpoints ()
-                in
-                let spec =
-                  Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket
-                in
-                let ticket =
-                  {
-                    Plan_lint.label;
-                    spec;
-                    scope = slice;
-                    commands = issue.fix_commands;
-                  }
-                in
-                let plan_diags =
-                  Lint.check_plans ~engine ~network:broken ~policies [ ticket ]
-                in
-                let script =
-                  Heimdall_sem.Plan_sem.script_of_commands issue.fix_commands
-                in
-                let analysis =
-                  Heimdall_sem.Plan_sem.analyze ~network:broken
-                    script.Heimdall_sem.Plan_sem.script_changes
-                in
-                let proof =
-                  Heimdall_sem.Plan_sem.prove ~spec
-                    (Heimdall_sem.Plan_sem.plan_requirements ~network:broken script)
-                in
-                let em =
-                  Heimdall_twin.Twin.build ~production:broken
-                    ~endpoints:issue.ticket.endpoints ()
-                in
-                let session = Heimdall_twin.Twin.open_session ~privilege:spec em in
-                ignore (Heimdall_twin.Session.exec_many session issue.fix_commands);
-                let changes =
-                  Heimdall_twin.Emulation.changes
-                    (Heimdall_twin.Session.emulation session)
-                in
-                let exact =
-                  exact_session_delta
-                    (Heimdall_twin.Emulation.baseline em)
-                    (Heimdall_twin.Emulation.network em)
-                in
-                let fails = [] in
-                let fails =
-                  if Packet_set.subset exact analysis.Heimdall_sem.Plan_sem.delta
-                  then fails
-                  else
-                    Printf.sprintf
-                      "%s: predicted delta does NOT contain the exact post-apply ACL diff"
-                      label
-                    :: fails
-                in
-                let denied = Heimdall_twin.Session.denied_count session in
-                let priv_rej =
-                  Heimdall_enforcer.Verifier.privilege_rejections ~privilege:spec
-                    changes
-                in
-                let fails =
-                  if
-                    proof.Heimdall_sem.Plan_sem.sufficient
-                    && (denied > 0 || priv_rej <> [])
-                  then
-                    Printf.sprintf
-                      "%s: statically sufficient, but replay denied %d command(s) and rejected %d change(s)"
-                      label denied (List.length priv_rej)
-                    :: fails
-                  else fails
-                in
-                (findings_acc @ plan_diags, fail_acc @ List.rev fails))
-              ([], []) issues
-        in
+        let verdicts = List.filter_map snd per_issue in
+        let plan_failures = List.concat_map Plan_oracle.failures verdicts in
         let findings, fail =
           Lint.apply_severity ~min_severity:severity
             (List.sort Diagnostic.compare
-               (net_findings @ issue_findings @ plan_findings))
+               (net_findings
+               @ List.concat_map fst per_issue
+               @ List.concat_map (fun (v : Plan_oracle.verdict) -> v.findings) verdicts))
         in
         let header =
           let acl_count =
@@ -1007,18 +835,8 @@ let resolve_policy_target target =
 let poltree_tickets net issues =
   List.map
     (fun (issue : Heimdall_msp.Issue.t) ->
-      let broken = issue.inject net in
-      let slice =
-        Heimdall_twin.Twin.slice_nodes ~production:broken
-          ~endpoints:issue.ticket.endpoints ()
-      in
-      let spec = Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
-      {
-        Heimdall_lint.Plan_lint.label = "ticket:" ^ issue.name;
-        spec;
-        scope = slice;
-        commands = issue.fix_commands;
-      })
+      Plan_oracle.ticket ~label:("ticket:" ^ issue.name)
+        (Heimdall_msp.Workflow.prepare ~production:net issue))
     issues
 
 let policy_cmd =
@@ -1299,13 +1117,6 @@ let audit_cmd =
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
-  let issue_opt_arg =
-    Arg.(
-      value
-      & pos 1 (some string) None
-      & info [] ~docv:"ISSUE"
-          ~doc:"Issue to run under faults: vlan, ospf or isp (default: all three).")
-  in
   let seed_arg =
     Arg.(
       value & opt int 42
@@ -1319,24 +1130,8 @@ let chaos_cmd =
       & info [ "max-attempts" ] ~docv:"K"
           ~doc:"Per-step retry budget for flaky commands and the transactional apply.")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Engine domain pool (default: auto; verdicts do not depend on it).")
-  in
   let run sc issue_name seed max_attempts trace_out metrics domains cache_dir =
-    let issues =
-      match issue_name with
-      | None -> sc.Experiments.issues
-      | Some name -> (
-          match find_issue sc name with
-          | Ok i -> [ i ]
-          | Error m ->
-              prerr_endline m;
-              exit 1)
-    in
+    let issues = resolve_issues sc issue_name in
     let obs =
       if trace_out <> None || metrics then Some (Heimdall_obs.Obs.create ())
       else None
@@ -1358,8 +1153,10 @@ let chaos_cmd =
           (flaky devices, partial applies, link flaps, crashes, an enclave restart) \
           and check that enforcement recovers; exit non-zero if any run fails")
     Term.(
-      const run $ network_arg $ issue_opt_arg $ seed_arg $ max_attempts_arg
-      $ trace_out_arg $ metrics_flag $ domains_arg $ dp_cache_arg)
+      const run $ network_arg $ issue_opt_arg "run under faults" $ seed_arg
+      $ max_attempts_arg $ trace_out_arg $ metrics_flag
+      $ domains_arg "Engine domain pool (default: auto; verdicts do not depend on it)."
+      $ dp_cache_arg)
 
 (* ---------------- scale ---------------- *)
 
@@ -1416,15 +1213,6 @@ let scale_cmd =
             "Full fleet spec (e.g. fat-tree:k=8:seed=7); overrides the \
              individual shape flags.")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Engine domain pool for the N-domain leg of the determinism check \
-             (default: auto, at least 2).")
-  in
   let skip_issues_flag =
     Arg.(
       value & flag
@@ -1454,123 +1242,55 @@ let scale_cmd =
           prerr_endline ("heimdall: bad fleet spec: " ^ m);
           exit 124
     in
-    let failed = ref false in
-    let gate name ok =
-      Printf.printf "%-42s %s\n" name (if ok then "ok" else "FAIL");
-      if not ok then failed := true
+    let r =
+      Scale.run ?domains ?cache_dir ~issues:(if skip_issues then `None else `All) params
     in
-    let open Heimdall_scenarios in
-    let fleet, gen_s =
-      Heimdall_msp.Timing.elapsed (fun () -> Fleetgen.generate params)
+    let fleet = r.Scale.fleet in
+    let print_gates stage =
+      List.iter
+        (fun (g : Scale.gate) ->
+          if g.stage = stage then
+            Printf.printf "%-42s %s\n" g.name (if g.ok then "ok" else "FAIL"))
+        r.Scale.gates
     in
-    Printf.printf "fleet %s\n" fleet.Fleetgen.name;
+    Printf.printf "fleet %s\n" fleet.name;
     Printf.printf "devices: %d  links: %d  policies: %d  config lines: %d\n"
       (Fleetgen.device_count fleet) (Fleetgen.link_count fleet)
-      (List.length fleet.Fleetgen.policies)
-      (Network.total_config_lines fleet.Fleetgen.net);
-    Printf.printf "generation: %.3f s\n" gen_s;
-    (* Determinism: a second generation from the same params must agree
-       byte for byte — structural digest, rendered configs, policies. *)
-    let fleet2 = Fleetgen.generate params in
-    let digest f = Digest.to_hex (Network.digest f.Fleetgen.net) in
-    gate "deterministic regeneration (digest)" (digest fleet = digest fleet2);
-    gate "deterministic regeneration (policies)"
-      (List.equal Heimdall_verify.Policy.equal fleet.Fleetgen.policies
-         fleet2.Fleetgen.policies);
-    (match Network.validate fleet.Fleetgen.net with
-    | Ok () -> gate "network validation" true
-    | Error e ->
-        prerr_endline ("  " ^ e);
-        gate "network validation" false);
-    let n_domains =
-      match domains with
-      | Some n -> max 1 n
-      | None -> max 2 (Heimdall_verify.Engine.default_domains ())
-    in
-    let engine1 = Heimdall_verify.Engine.create ~domains:1 ?cache_dir () in
-    let engine_n = Heimdall_verify.Engine.create ~domains:n_domains () in
-    (* Lint: only error-severity findings gate (warnings like a terminal
-       permit-any are part of the generated enterprise idiom). *)
-    let findings, lint_s =
-      Heimdall_msp.Timing.elapsed (fun () ->
-          Heimdall_lint.Lint.check_network ~engine:engine1 fleet.Fleetgen.net)
-    in
-    let errors =
-      List.filter
-        (fun (d : Heimdall_lint.Diagnostic.t) ->
-          d.severity = Heimdall_lint.Diagnostic.Error)
-        findings
-    in
+      (List.length fleet.policies)
+      (Network.total_config_lines fleet.net);
+    Printf.printf "generation: %.3f s\n" r.generate_s;
+    Result.iter_error (fun e -> prerr_endline ("  " ^ e)) r.validation;
+    print_gates Scale.Generation;
+    let errors = Scale.lint_errors r in
     List.iter
       (fun d -> prerr_endline ("  " ^ Heimdall_lint.Diagnostic.to_string d))
       errors;
-    Printf.printf "lint: %d findings, %d errors (%.3f s)\n" (List.length findings)
-      (List.length errors) lint_s;
-    gate "lint clean (no error severity)" (errors = []);
-    (* Verify every policy on 1 domain and on N domains; the verdicts —
-       not just the counts — must be byte-identical. *)
-    let dp1, dp_s =
-      Heimdall_msp.Timing.elapsed (fun () ->
-          Heimdall_verify.Engine.dataplane engine1 fleet.Fleetgen.net)
-    in
-    let report_fingerprint (r : Heimdall_verify.Policy.report) =
-      (r.total,
-       List.map
-         (fun (p, reason) -> (Heimdall_verify.Policy.to_string p, reason))
-         r.violations)
-    in
-    let report1, check_s =
-      Heimdall_msp.Timing.elapsed (fun () ->
-          Heimdall_verify.Policy.check_all ~engine:engine1 dp1
-            fleet.Fleetgen.policies)
-    in
-    let dp_n = Heimdall_verify.Engine.dataplane engine_n fleet.Fleetgen.net in
-    let report_n =
-      Heimdall_verify.Policy.check_all ~engine:engine_n dp_n
-        fleet.Fleetgen.policies
-    in
+    Printf.printf "lint: %d findings, %d errors (%.3f s)\n" (List.length r.findings)
+      (List.length errors) r.lint_s;
+    print_gates Scale.Lint;
+    let violations = r.report.Heimdall_verify.Policy.violations in
     List.iter
       (fun (p, reason) ->
         prerr_endline
           ("  violated: " ^ Heimdall_verify.Policy.to_string p ^ " — " ^ reason))
-      report1.Heimdall_verify.Policy.violations;
+      violations;
     Printf.printf "verify: %d policies, %d violations (dataplane %.3f s, check %.3f s)\n"
-      report1.Heimdall_verify.Policy.total
-      (List.length report1.Heimdall_verify.Policy.violations)
-      dp_s check_s;
-    gate "zero policy violations"
-      (report1.Heimdall_verify.Policy.violations = []);
-    gate
-      (Printf.sprintf "verdicts identical at 1 vs %d domains" n_domains)
-      (report_fingerprint report1 = report_fingerprint report_n);
-    (* Every injected issue through the full pipeline: privilege
-       generation, twin session, verify, schedule, apply, audit. *)
-    if not skip_issues then
-      List.iter
-        (fun (issue : Heimdall_msp.Issue.t) ->
-          let run, wf_s =
-            Heimdall_msp.Timing.elapsed (fun () ->
-                Heimdall_msp.Workflow.run_heimdall ~engine:engine_n
-                  ~production:fleet.Fleetgen.net
-                  ~policies:fleet.Fleetgen.policies ~issue ())
-          in
-          Printf.printf "issue %-10s %s, %d denied (%.3f s)\n"
-            issue.Heimdall_msp.Issue.name
-            (if run.Heimdall_msp.Workflow.resolved then "resolved" else "NOT resolved")
-            run.Heimdall_msp.Workflow.denied wf_s;
-          gate
-            (Printf.sprintf "issue %s resolved, nothing denied"
-               issue.Heimdall_msp.Issue.name)
-            (run.Heimdall_msp.Workflow.resolved
-            && run.Heimdall_msp.Workflow.denied = 0))
-        fleet.Fleetgen.issues;
-    Heimdall_verify.Engine.shutdown engine1;
-    Heimdall_verify.Engine.shutdown engine_n;
-    (match Fleetgen.peak_rss_kb () with
-    | Some kb -> Printf.printf "peak RSS: %.1f MB\n" (float_of_int kb /. 1024.)
-    | None -> ());
-    Printf.printf "scale gate: %s\n" (if !failed then "FAIL" else "PASS");
-    if !failed then exit 1
+      r.report.Heimdall_verify.Policy.total (List.length violations) r.dataplane_s
+      r.check_s;
+    print_gates Scale.Verify;
+    List.iter
+      (fun (i : Scale.issue_run) ->
+        Printf.printf "issue %-10s %s, %d denied (%.3f s)\n" i.issue
+          (if i.resolved then "resolved" else "NOT resolved")
+          i.denied i.wall_s;
+        print_gates (Scale.Issue i.issue))
+      r.issues;
+    Option.iter
+      (fun kb -> Printf.printf "peak RSS: %.1f MB\n" (float_of_int kb /. 1024.))
+      r.peak_rss_kb;
+    let passed = Scale.passed r in
+    Printf.printf "scale gate: %s\n" (if passed then "PASS" else "FAIL");
+    if not passed then exit 1
   in
   Cmd.v
     (Cmd.info "scale"
@@ -1582,7 +1302,10 @@ let scale_cmd =
     Term.(
       const run $ shape_arg $ k_arg $ spines_arg $ leaves_arg $ campuses_arg
       $ buildings_arg $ hosts_arg $ policies_arg $ mode_arg $ seed_arg $ spec_arg
-      $ domains_arg $ dp_cache_arg $ skip_issues_flag)
+      $ domains_arg
+          "Engine domain pool for the N-domain leg of the determinism check \
+           (default: auto, at least 2)."
+      $ dp_cache_arg $ skip_issues_flag)
 
 (* ---------------- shell ---------------- *)
 
@@ -1597,15 +1320,10 @@ let shell_cmd =
         prerr_endline m;
         exit 1
     | Ok issue ->
-        let broken = issue.Heimdall_msp.Issue.inject net in
+        let { Heimdall_msp.Workflow.broken; slice; privilege; _ } =
+          Heimdall_msp.Workflow.prepare ~production:net issue
+        in
         let endpoints = issue.Heimdall_msp.Issue.ticket.endpoints in
-        let slice =
-          Heimdall_twin.Twin.slice_nodes ~production:broken ~endpoints ()
-        in
-        let privilege =
-          Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-            issue.Heimdall_msp.Issue.ticket
-        in
         print_endline (Heimdall_msp.Issue.to_string issue);
         Printf.printf "twin slice: %s\n" (String.concat ", " slice);
         print_endline "type commands ('quit' to leave; e.g. 'connect r4', 'show ip route'):";

@@ -39,37 +39,6 @@ let lint_delta ?engine ?obs emulation =
     (fun d -> not (List.exists (Diagnostic.equal d) baseline))
     current
 
-(* Semantic ACL diff of the session: for every ACL of every device, the
-   exact packet sets the edits opened and closed (empty diffs dropped).
-   An ACL missing on one side compares as the empty list — implicit
-   deny-all. *)
-let session_acl_diffs emulation =
-  let open Heimdall_net in
-  let before = Heimdall_twin.Emulation.baseline emulation in
-  let after = Heimdall_twin.Emulation.network emulation in
-  List.concat_map
-    (fun node ->
-      let acls net =
-        match Heimdall_control.Network.config node net with
-        | Some (cfg : Ast.t) -> cfg.acls
-        | None -> []
-      in
-      let names =
-        List.sort_uniq String.compare
-          (List.map (fun (a : Acl.t) -> a.name) (acls before @ acls after))
-      in
-      List.filter_map
-        (fun name ->
-          let find net =
-            match Heimdall_control.Network.config node net with
-            | Some cfg -> Option.value (Ast.find_acl name cfg) ~default:(Acl.empty name)
-            | None -> Acl.empty name
-          in
-          let d = Heimdall_sem.Acl_sem.diff ~before:(find before) ~after:(find after) in
-          if Heimdall_sem.Acl_sem.diff_is_empty d then None else Some (node, name, d))
-        names)
-    (Heimdall_control.Network.node_names after)
-
 let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_attempts
     ?(in_flight = []) ~production ~policies ~privilege ~session () =
   let obs =
@@ -77,6 +46,29 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
   in
   let emulation = Heimdall_twin.Session.emulation session in
   let changes = Heimdall_twin.Emulation.changes emulation in
+  (* Every exit seals the trail it ends with: the attestation report and
+     the sealed head both cover the final audit head. *)
+  let outcome ?(approved = false) ?(rejections = []) ?(conflicts = []) ?plan ?updated
+      ?apply ?(fixed_policies = []) ?impact ?(lint_findings = []) ?(sem_findings = [])
+      ?(acl_diffs = []) audit =
+    let head = Audit.head audit in
+    {
+      approved;
+      rejections;
+      conflicts;
+      plan;
+      updated;
+      apply;
+      fixed_policies;
+      impact;
+      lint_findings;
+      sem_findings;
+      acl_diffs;
+      audit;
+      report = Enclave.attest enclave ~report_data:head;
+      sealed_head = Enclave.seal enclave head;
+    }
+  in
   let audit = Audit.of_session_log (Heimdall_twin.Session.log session) in
   (* Correlate the tamper-evident trail with the trace: the outermost
      span open on this domain (the session root when the workflow opened
@@ -126,23 +118,7 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
             ~detail:(Mediator.conflict_to_string c) ~verdict:"held" audit)
         audit conflicts
     in
-    let head = Audit.head audit in
-    {
-      approved = false;
-      rejections = [];
-      conflicts;
-      plan = None;
-      updated = None;
-      apply = None;
-      fixed_policies = [];
-      impact = None;
-      lint_findings = [];
-      sem_findings = [];
-      acl_diffs = [];
-      audit;
-      report = Enclave.attest enclave ~report_data:head;
-      sealed_head = Enclave.seal enclave head;
-    }
+    outcome ~conflicts audit
   end
   else
   let verdict =
@@ -169,7 +145,11 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
      what the changes actually exercised.  Advisory, like lint. *)
   let sem_findings, acl_diffs =
     Heimdall_obs.Obs.span obs "enforcer.sem" (fun () ->
-        let acl_diffs = session_acl_diffs emulation in
+        let acl_diffs =
+          Heimdall_sem.Acl_sem.network_diffs
+            ~before:(Heimdall_twin.Emulation.baseline emulation)
+            ~after:(Heimdall_twin.Emulation.network emulation)
+        in
         let sem_findings =
           Heimdall_lint.Lint.check_privilege_usage ~network:production
             ~spec:privilege ~changes ()
@@ -235,23 +215,8 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
         ~detail:(Printf.sprintf "%d changes" (List.length changes))
         ~verdict:"rejected" audit
     in
-    let head = Audit.head audit in
-    {
-      approved = false;
-      rejections = verdict.rejections;
-      conflicts = [];
-      plan = None;
-      updated = None;
-      apply = None;
-      fixed_policies = verdict.fixed_policies;
-      impact = None;
-      lint_findings;
-      sem_findings;
-      acl_diffs;
-      audit;
-      report = Enclave.attest enclave ~report_data:head;
-      sealed_head = Enclave.seal enclave head;
-    }
+    outcome ~rejections:verdict.rejections ~fixed_policies:verdict.fixed_policies
+      ~lint_findings ~sem_findings ~acl_diffs audit
   end
   else
     match Scheduler.plan ?engine ?obs ~production ~policies ~changes () with
@@ -260,23 +225,9 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
           Audit.append ~actor:"enforcer" ~action:"schedule" ~resource:"production"
             ~detail:m ~verdict:"rejected" audit
         in
-        let head = Audit.head audit in
-        {
-          approved = false;
-          rejections = [ Verifier.Apply_error m ];
-          conflicts = [];
-          plan = None;
-          updated = None;
-          apply = None;
-          fixed_policies = verdict.fixed_policies;
-          impact = None;
-          lint_findings;
-          sem_findings;
-          acl_diffs;
-          audit;
-          report = Enclave.attest enclave ~report_data:head;
-          sealed_head = Enclave.seal enclave head;
-        }
+        outcome ~rejections:[ Verifier.Apply_error m ]
+          ~fixed_policies:verdict.fixed_policies ~lint_findings ~sem_findings ~acl_diffs
+          audit
     | Ok (plan, updated) ->
         let impact =
           Heimdall_obs.Obs.span obs "enforcer.impact" (fun () ->
@@ -318,23 +269,9 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
                  (Reachability.impact_to_string impact))
             ~verdict:"approved" audit
         in
-        let head = Audit.head audit in
-        {
-          approved = true;
-          rejections = [];
-          conflicts = [];
-          plan = Some plan;
-          updated = Some updated;
-          apply = Some apply;
-          fixed_policies = verdict.fixed_policies;
-          impact = Some impact;
-          lint_findings;
-          sem_findings;
-          acl_diffs;
-          audit;
-          report = Enclave.attest enclave ~report_data:head;
-          sealed_head = Enclave.seal enclave head;
-        }
+        outcome ~approved:true ~plan ~updated ~apply
+          ~fixed_policies:verdict.fixed_policies ~impact ~lint_findings ~sem_findings
+          ~acl_diffs audit
 
 (* One labeled counter per processed session, bucketed by how it ended —
    what the Watchtower's /metrics page breaks enforcer traffic down by. *)

@@ -5,7 +5,3 @@ let privilege_review_s = 5.0
 let twin_boot_base_s = 8.0
 let twin_boot_per_node_s = 0.5
 let verify_review_s = 4.0
-(* All wall-clock measurement delegates to the one clamped helper in
-   Heimdall_obs.Clock, so the NTP-step guard lives in exactly one place. *)
-let now = Heimdall_obs.Clock.now_s
-let elapsed = Heimdall_obs.Clock.elapsed

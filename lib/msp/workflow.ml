@@ -46,7 +46,7 @@ let run_current ~production ~(issue : Issue.t) =
   let session = Rmm.open_direct_session broken in
   let connect = { label = "connect"; human_s = Timing.connect_s; compute_s = 0.0 } in
   let (_ : (string, Session.error) result list), ops_compute =
-    Timing.elapsed (fun () -> Session.exec_many session issue.fix_commands)
+    Heimdall_obs.Clock.elapsed (fun () -> Session.exec_many session issue.fix_commands)
   in
   let operations =
     {
@@ -68,6 +68,21 @@ let run_current ~production ~(issue : Issue.t) =
     final_network;
   }
 
+type prepared = {
+  issue : Issue.t;
+  broken : Network.t;
+  slice : string list;
+  privilege : Heimdall_privilege.Privilege.t;
+}
+
+let prepare ?(strategy = Slicer.Task) ?obs ~production (issue : Issue.t) =
+  let broken = issue.inject production in
+  let slice =
+    Twin.slice_nodes ~strategy ?obs ~production:broken
+      ~endpoints:issue.ticket.endpoints ()
+  in
+  { issue; broken; slice; privilege = Priv_gen.for_ticket ~network:broken ~slice issue.ticket }
+
 let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
     ~production ~policies ~(issue : Issue.t) () =
   let obs =
@@ -80,16 +95,10 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
   Heimdall_obs.Obs.span obs "session"
     ~attrs:[ ("workflow", "heimdall"); ("issue", issue.name) ]
     (fun () ->
-      let broken = issue.inject production in
       (* Step 1: generate the Privilege_msp. *)
-      let (slice, privilege), privgen_compute =
+      let { broken; slice; privilege; _ }, privgen_compute =
         Heimdall_obs.Obs.span obs "workflow.generate_privilege" (fun () ->
-            Timing.elapsed (fun () ->
-                let slice =
-                  Twin.slice_nodes ~strategy ?obs ~production:broken
-                    ~endpoints:issue.ticket.endpoints ()
-                in
-                (slice, Priv_gen.for_ticket ~network:broken ~slice issue.ticket)))
+            Heimdall_obs.Clock.elapsed (fun () -> prepare ~strategy ?obs ~production issue))
       in
       let privgen =
         {
@@ -131,7 +140,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
       (* Step 2: build the twin (slice, scrub, boot, precompute dataplane). *)
       let emulation, twin_compute =
         Heimdall_obs.Obs.span obs "workflow.twin_setup" (fun () ->
-            Timing.elapsed (fun () ->
+            Heimdall_obs.Clock.elapsed (fun () ->
                 let em =
                   Twin.build ~strategy ?obs ~production:broken
                     ~endpoints:issue.ticket.endpoints ()
@@ -152,7 +161,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
         Heimdall_obs.Obs.span obs "workflow.operations"
           ~attrs:[ ("commands", string_of_int (List.length issue.fix_commands)) ]
           (fun () ->
-            Timing.elapsed (fun () -> Session.exec_many session issue.fix_commands))
+            Heimdall_obs.Clock.elapsed (fun () -> Session.exec_many session issue.fix_commands))
       in
       let operations =
         {
@@ -164,7 +173,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
       (* Step 3: verify changes and schedule them into production. *)
       let outcome, verify_compute =
         Heimdall_obs.Obs.span obs "workflow.verify" (fun () ->
-            Timing.elapsed (fun () ->
+            Heimdall_obs.Clock.elapsed (fun () ->
                 Heimdall_enforcer.Enforcer.process ?engine ?obs ~in_flight
                   ~production:broken ~policies ~privilege ~session ()))
       in

@@ -33,6 +33,26 @@ val run_current : production:Network.t -> issue:Issue.t -> run
     directly against production, save.  (The issue is injected before the
     session starts.) *)
 
+(** A ticket ready for its technician: the issue injected into
+    production, the twin slice for the ticket's endpoints and the
+    Privilege_msp generated over that slice. *)
+type prepared = {
+  issue : Issue.t;
+  broken : Network.t;  (** Production with the issue injected. *)
+  slice : string list;  (** The twin's node set. *)
+  privilege : Heimdall_privilege.Privilege.t;  (** The ticket's grant. *)
+}
+
+val prepare :
+  ?strategy:Heimdall_twin.Slicer.strategy ->
+  ?obs:Heimdall_obs.Obs.t ->
+  production:Network.t ->
+  Issue.t ->
+  prepared
+(** The one place a ticket's grant is built: inject the issue, slice the
+    broken network (default {!Heimdall_twin.Slicer.Task}) and generate the
+    privilege for the slice.  With [?obs], the slicer's span and gauge. *)
+
 val run_heimdall :
   ?strategy:Heimdall_twin.Slicer.strategy ->
   ?engine:Engine.t ->

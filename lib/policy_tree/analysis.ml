@@ -380,3 +380,27 @@ let seed_pol004 (t : Poltree.t) =
       let root = rewrite t.root in
       if !flipped then Ok { t with Poltree.root = root }
       else Error "could not locate the allow rule to flip"
+
+(* Two /17 permits whose union exactly covers a later /16 deny: no
+   pairwise check can see the dead rule, only the packet-set algebra. *)
+let seed_acl004 net =
+  let open Heimdall_control in
+  let victim =
+    List.find_map
+      (fun (node, (cfg : Heimdall_config.Ast.t)) ->
+        match cfg.acls with a :: _ -> Some (node, cfg, a) | [] -> None)
+      (Network.configs net)
+  in
+  match victim with
+  | None -> Error "needs a network with at least one ACL"
+  | Some (node, cfg, acl) ->
+      let rule seq action src =
+        Acl.rule ~seq ~proto:(Acl.Proto Flow.Tcp) action (Prefix.of_string src) Prefix.any
+      in
+      let acl =
+        acl
+        |> Acl.add_rule (rule 1 Acl.Permit "10.250.0.0/17")
+        |> Acl.add_rule (rule 2 Acl.Permit "10.250.128.0/17")
+        |> Acl.add_rule (rule 3 Acl.Deny "10.250.0.0/16")
+      in
+      Ok (Network.with_config node (Heimdall_config.Ast.update_acl acl cfg) net, node, acl.name)

@@ -70,11 +70,7 @@ let run ?engine ?obs ?(max_attempts = Heimdall_enforcer.Applier.default_max_atte
     (fun () ->
       let production = scenario.Experiments.net in
       let policies = scenario.Experiments.policies in
-      let broken = issue.inject production in
-      let slice =
-        Twin.slice_nodes ?obs ~production:broken ~endpoints:issue.ticket.endpoints ()
-      in
-      let privilege = Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
+      let { Workflow.broken; privilege; _ } = Workflow.prepare ?obs ~production issue in
       let emulation =
         Twin.build ?obs ~production:broken ~endpoints:issue.ticket.endpoints ()
       in

@@ -207,9 +207,9 @@ let ablation_verify () =
     let dp = Dataplane.compute broken in
     ignore (Policy.check_all dp policies)
   in
-  let (), batch_s = Timing.elapsed check in
+  let (), batch_s = Heimdall_obs.Clock.elapsed check in
   let (), continuous_s =
-    Timing.elapsed (fun () ->
+    Heimdall_obs.Clock.elapsed (fun () ->
         for _ = 1 to actions do
           check ()
         done)
@@ -307,7 +307,7 @@ let ablation_audit () =
   let records = 1000 in
   let audit = ref Audit.empty in
   let (), append_s =
-    Timing.elapsed (fun () ->
+    Heimdall_obs.Clock.elapsed (fun () ->
         for i = 1 to records do
           audit :=
             Audit.append ~actor:"tech" ~action:"acl.rule" ~resource:"r8"
@@ -316,11 +316,11 @@ let ablation_audit () =
               ~verdict:"allowed" !audit
         done)
   in
-  let verified, verify_s = Timing.elapsed (fun () -> Audit.verify !audit = Ok ()) in
+  let verified, verify_s = Heimdall_obs.Clock.elapsed (fun () -> Audit.verify !audit = Ok ()) in
   let enclave = Enforcer.default_enclave in
   let iterations = 100 in
   let (), seal_total_s =
-    Timing.elapsed (fun () ->
+    Heimdall_obs.Clock.elapsed (fun () ->
         for _ = 1 to iterations do
           let sealed = Enclave.seal enclave (Audit.head !audit) in
           match Enclave.unseal enclave sealed with

@@ -35,6 +35,33 @@ let diff ~before ~after =
 let diff_is_empty d =
   Packet_set.is_empty d.newly_permitted && Packet_set.is_empty d.newly_denied
 
+let network_diffs ~before ~after =
+  let open Heimdall_control in
+  let acls node net =
+    match Network.config node net with
+    | Some (cfg : Heimdall_config.Ast.t) -> cfg.acls
+    | None -> []
+  in
+  List.concat_map
+    (fun node ->
+      let names =
+        List.sort_uniq String.compare
+          (List.map (fun (a : Acl.t) -> a.name) (acls node before @ acls node after))
+      in
+      List.filter_map
+        (fun name ->
+          let find net =
+            match Network.config node net with
+            | Some cfg ->
+                Option.value (Heimdall_config.Ast.find_acl name cfg)
+                  ~default:(Acl.empty name)
+            | None -> Acl.empty name
+          in
+          let d = diff ~before:(find before) ~after:(find after) in
+          if diff_is_empty d then None else Some (node, name, d))
+        names)
+    (Network.node_names after)
+
 let diff_witnesses d =
   (match Packet_set.sample d.newly_permitted with
   | Some f -> [ ("newly-permitted", f) ]

@@ -15,11 +15,6 @@ val permit_set : Acl.t -> Packet_set.t
 val deny_set : Acl.t -> Packet_set.t
 (** Complement of {!permit_set}. *)
 
-val decided_sets : Acl.t -> (Acl.rule * Packet_set.t) list
-(** For each rule, in order, the packets it actually decides: its match
-    set minus everything earlier rules already matched.  A rule with an
-    empty decided set is dead. *)
-
 val equivalent : Acl.t -> Acl.t -> bool
 (** Semantic equivalence: same permit set (names and rule structure are
     ignored). *)
@@ -33,6 +28,15 @@ type diff = {
 val diff : before:Acl.t -> after:Acl.t -> diff
 
 val diff_is_empty : diff -> bool
+
+val network_diffs :
+  before:Heimdall_control.Network.t ->
+  after:Heimdall_control.Network.t ->
+  (string * string * diff) list
+(** The semantic diff of every (device, ACL) pair between two versions of
+    a network, as [(node, acl, diff)] in [Network.node_names after] order
+    with empty diffs dropped.  An ACL missing on one side compares as the
+    empty list — implicit deny-all. *)
 
 val diff_witnesses : diff -> (string * Flow.t) list
 (** Up to one witness per direction, labelled ["newly-permitted"] /

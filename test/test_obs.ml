@@ -19,11 +19,7 @@ let test_clock () =
   checkb "clamp positive" true (Clock.clamp 1.5 = 1.5);
   let v, dt = Clock.elapsed (fun () -> 42) in
   checki "elapsed value" 42 v;
-  checkb "elapsed non-negative" true (dt >= 0.0);
-  (* Timing must stay one helper: the MSP latency model delegates here. *)
-  let v', dt' = Heimdall_msp.Timing.elapsed (fun () -> "x") in
-  checks "timing delegates" "x" v';
-  checkb "timing non-negative" true (dt' >= 0.0)
+  checkb "elapsed non-negative" true (dt >= 0.0)
 
 (* ---------------- sinks ---------------- *)
 
