@@ -108,9 +108,6 @@ let update_interface i t =
   let others = List.filter (fun i' -> i'.if_name <> i.if_name) t.interfaces in
   normalize { t with interfaces = i :: others }
 
-let remove_interface name t =
-  { t with interfaces = List.filter (fun i -> i.if_name <> name) t.interfaces }
-
 let find_acl name t = List.find_opt (fun (a : Acl.t) -> a.name = name) t.acls
 
 let update_acl (acl : Acl.t) t =

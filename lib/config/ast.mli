@@ -95,7 +95,6 @@ val find_interface : string -> t -> interface option
 val update_interface : interface -> t -> t
 (** Insert or replace (by [if_name]). *)
 
-val remove_interface : string -> t -> t
 val find_acl : string -> t -> Acl.t option
 val update_acl : Acl.t -> t -> t
 val remove_acl : string -> t -> t

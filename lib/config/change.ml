@@ -314,7 +314,6 @@ let op_to_string = function
   | Set_secret s -> Printf.sprintf "set %s" (Ast.secret_kind s)
 
 let to_string t = Printf.sprintf "%s: %s" t.node (op_to_string t.op)
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let op_action_name = function
   | Set_interface_enabled { enabled; _ } ->

@@ -59,8 +59,6 @@ val to_string : t -> string
 (** One-line human-readable rendering, e.g.
     ["router3: acl ACL_X set rule 20 permit ip any any"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val op_action_name : op -> string
 (** The dotted action name this op corresponds to in the privilege
     taxonomy, e.g. [Set_interface_enabled] maps to ["interface.shutdown"]

@@ -18,11 +18,6 @@ let render_interface_into buf (i : Ast.interface) =
         (String.concat "," (List.map string_of_int vs)));
   if not i.enabled then bprintf buf " shutdown\n"
 
-let render_interface i =
-  let buf = Buffer.create 128 in
-  render_interface_into buf i;
-  Buffer.contents buf
-
 let render_acl_into buf (acl : Acl.t) =
   List.iter
     (fun r -> bprintf buf "access-list %s %s\n" acl.name (Acl.rule_to_string r))

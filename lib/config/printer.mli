@@ -6,9 +6,6 @@
 val render : Ast.t -> string
 (** Full canonical rendering, ending in a newline. *)
 
-val render_interface : Ast.interface -> string
-(** Just one interface stanza (used by [show] commands). *)
-
 val render_acl : Heimdall_net.Acl.t -> string
 (** Just one access-list (one line per rule). *)
 

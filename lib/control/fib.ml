@@ -26,8 +26,6 @@ let route_to_string r =
     (protocol_to_string r.protocol)
     r.distance r.metric
 
-let pp_route fmt r = Format.pp_print_string fmt (route_to_string r)
-
 type t = route Prefix_trie.t
 
 let empty = Prefix_trie.empty

@@ -19,7 +19,6 @@ type route = {
 }
 
 val route_to_string : route -> string
-val pp_route : Format.formatter -> route -> unit
 
 type t
 (** A FIB: best route per prefix, with longest-prefix-match lookup. *)

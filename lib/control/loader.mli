@@ -18,8 +18,6 @@ type error = { where : string; line : int; message : string }
 
 val error_to_string : error -> string
 
-val parse_topology : string -> (Heimdall_net.Topology.t, error) result
-
 val load :
   topology:string -> configs:(string * string) list -> (Network.t, error) result
 (** [load ~topology ~configs] parses everything and assembles a network;

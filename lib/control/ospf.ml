@@ -216,8 +216,3 @@ let all_routes net l2 =
     best;
   Hashtbl.fold (fun r rs acc -> (r, rs) :: acc) per_router []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let routes net l2 router =
-  match List.assoc_opt router (all_routes net l2) with
-  | Some rs -> rs
-  | None -> []

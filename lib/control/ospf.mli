@@ -33,6 +33,3 @@ val adjacencies : Network.t -> L2.t -> (iface * iface) list
 val all_routes : Network.t -> L2.t -> (string * Fib.route list) list
 (** OSPF candidate routes for every router, computed in one pass (one SPF
     fixpoint shared by all nodes); routers with no routes are omitted. *)
-
-val routes : Network.t -> L2.t -> string -> Fib.route list
-(** OSPF candidate routes for the given router. *)

@@ -39,23 +39,6 @@ let conflict_between (a_label, (a : Plan_sem.t)) (b_label, (b : Plan_sem.t)) =
   if shared_footprint = [] && Heimdall_net.Packet_set.is_empty overlap then None
   else Some { first = a_label; second = b_label; shared_footprint; overlap }
 
-let detect ?network tickets =
-  let analysed = List.map (fun t -> (t.label, analysis_of ?network t)) tickets in
-  let rec pairs acc = function
-    | [] -> List.rev acc
-    | a :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc b ->
-              match conflict_between a b with
-              | Some c -> c :: acc
-              | None -> acc)
-            acc rest
-        in
-        pairs acc rest
-  in
-  pairs [] analysed
-
 type decision = {
   admitted : ticket list;
   held : (ticket * conflict) list;

@@ -23,11 +23,6 @@ type conflict = {
           (empty when the conflict is footprint-only). *)
 }
 
-val detect : ?network:Network.t -> ticket list -> conflict list
-(** All pairwise conflicts, in submission order.  [network] tightens the
-    ACL deltas (absent, most ops carry the conservative [full] delta and
-    any two plans sharing a device conflict). *)
-
 type decision = {
   admitted : ticket list;  (** Cleared to proceed, submission order kept. *)
   held : (ticket * conflict) list;

@@ -309,5 +309,3 @@ let rec equal a b =
       List.length x = List.length y
       && List.for_all2 (fun (k1, v1) (k2, v2) -> k1 = k2 && equal v1 v2) x y
   | (Null | Bool _ | Int _ | Float _ | String _ | List _ | Obj _), _ -> false
-
-let pp fmt t = Format.pp_print_string fmt (to_string ~pretty:true t)

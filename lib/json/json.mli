@@ -36,4 +36,3 @@ val to_float_opt : t -> float option
 (** Accepts both [Int] and [Float]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

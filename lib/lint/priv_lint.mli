@@ -21,10 +21,6 @@
 open Heimdall_control
 open Heimdall_privilege
 
-val pattern_subsumes : Privilege.pattern -> Privilege.pattern -> bool
-(** [pattern_subsumes outer inner]: every string matched by [inner] is
-    matched by [outer]. *)
-
 val predicate_subsumes : Privilege.predicate -> Privilege.predicate -> bool
 (** Every (action, resource) pair the second predicate matches is also
     matched by the first. *)

@@ -11,13 +11,6 @@ type request = {
 
 type decision = Granted of Privilege.predicate | Refused of string
 
-let decision_to_string = function
-  | Granted p ->
-      Printf.sprintf "granted: %s on %s"
-        (String.concat ", " p.Privilege.actions)
-        (String.concat ", " (List.map Privilege.resource_to_string p.Privilege.resources))
-  | Refused reason -> "refused: " ^ reason
-
 let ticket_kinds = [ Ticket.Connectivity; Ticket.Routing; Ticket.Vlan; Ticket.External ]
 
 let decide ~network ~slice ~current request =

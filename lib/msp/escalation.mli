@@ -34,8 +34,6 @@ type decision =
   | Granted of Privilege.predicate
   | Refused of string  (** Human-readable reason. *)
 
-val decision_to_string : decision -> string
-
 val decide :
   network:Network.t -> slice:string list -> current:Privilege.t -> request -> decision
 

@@ -8,8 +8,6 @@ let proto_of_string = function
   | "udp" -> Some Udp
   | _ -> None
 
-let pp_proto fmt p = Format.pp_print_string fmt (proto_to_string p)
-
 type t = { src : Ipv4.t; dst : Ipv4.t; proto : proto; src_port : int; dst_port : int }
 
 let make ?(proto = Icmp) ?src_port ?dst_port src dst =

@@ -5,7 +5,6 @@ type proto = Icmp | Tcp | Udp
 
 val proto_to_string : proto -> string
 val proto_of_string : string -> proto option
-val pp_proto : Format.formatter -> proto -> unit
 
 type t = {
   src : Ipv4.t;  (** Source address. *)

@@ -70,4 +70,3 @@ let bit a i =
 
 let any = 0
 let broadcast = max_value
-let localhost = of_octets 127 0 0 1

@@ -51,6 +51,3 @@ val any : t
 
 val broadcast : t
 (** 255.255.255.255 *)
-
-val localhost : t
-(** 127.0.0.1 *)

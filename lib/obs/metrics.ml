@@ -63,8 +63,6 @@ let canon labels =
   dedup sorted
 
 let scoped t labels = { t with base = canon (t.base @ labels) }
-let base_labels t = t.base
-
 let series_of t name labels =
   match (t.base, labels) with
   | [], [] -> { sname = name; labels = [] }

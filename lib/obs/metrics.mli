@@ -19,9 +19,6 @@ val scoped : t -> (string * string) list -> t
     override base labels with the same key.  Reads and rendering see the
     whole shared registry either way — scoping only affects writes. *)
 
-val base_labels : t -> (string * string) list
-(** The view's canonicalised base labels ([[]] for {!create}). *)
-
 (** {1 Updating} *)
 
 val incr : t -> ?by:int -> ?labels:(string * string) list -> string -> unit

@@ -25,5 +25,3 @@ let file path =
         output_char oc '\n');
     closer = Some (fun () -> close_out oc);
   }
-
-let of_fn ?close emit = { emit; closer = close }

@@ -23,6 +23,3 @@ val memory : unit -> t * (unit -> string list)
 val file : string -> t
 (** Appends lines to [path], creating the file (truncated) on open.
     @raise Sys_error if the file cannot be opened. *)
-
-val of_fn : ?close:(unit -> unit) -> (string -> unit) -> t
-(** Adapt an arbitrary line consumer. *)

@@ -250,8 +250,6 @@ let verdict c flow =
   else if Packet_set.mem c.decided flow then Deny_explicit
   else Deny_default
 
-let find_cnode c name = List.find_opt (fun cn -> cn.name = name) c.nodes
-
 (* ---------------- diff ---------------- *)
 
 type tree_diff = {

@@ -79,9 +79,6 @@ type verdict =
 
 val verdict : compiled -> Flow.t -> verdict
 
-val find_cnode : compiled -> string -> cnode option
-(** By node name (the last path segment). *)
-
 (** {1 Diff} *)
 
 type tree_diff = {

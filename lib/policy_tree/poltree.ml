@@ -25,7 +25,6 @@ type node = {
 type t = { services : (string * service) list; root : node }
 
 let all_protos = [ Flow.Icmp; Flow.Tcp; Flow.Udp ]
-let any_service = [ { protos = all_protos; dp_lo = 0; dp_hi = Packet_set.max_port } ]
 
 let make_root ?(rules = []) children =
   { name = "root"; scope = [ Prefix.any ]; owners = []; rules; children }

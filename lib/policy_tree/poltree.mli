@@ -64,9 +64,6 @@ type t = {
 
 val all_protos : Flow.proto list
 
-val any_service : service
-(** All three protocols, all ports. *)
-
 val valid_name : string -> bool
 (** Names for nodes, services, owners and waypoints: non-empty,
     [[A-Za-z0-9._-]+], not a grammar keyword. *)

@@ -42,7 +42,6 @@ let deny ?iface ~actions ~nodes () =
   { effect = Deny; actions; resources = List.map (fun n -> { node = n; iface }) nodes }
 
 let of_predicates predicates = { predicates }
-let append p t = { predicates = t.predicates @ [ p ] }
 let prepend p t = { predicates = p :: t.predicates }
 
 type request = { action : Action.t; node : string; req_iface : string option }

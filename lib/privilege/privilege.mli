@@ -42,9 +42,6 @@ val allow : ?iface:string -> actions:pattern list -> nodes:string list -> unit -
 val deny : ?iface:string -> actions:pattern list -> nodes:string list -> unit -> predicate
 
 val of_predicates : predicate list -> t
-val append : predicate -> t -> t
-(** Add a predicate at the end (lowest precedence). *)
-
 val prepend : predicate -> t -> t
 (** Add a predicate at the front (highest precedence). *)
 

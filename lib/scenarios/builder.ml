@@ -198,14 +198,6 @@ let secret t node sec =
 let ospf_router_id t node id = (node_state t node).ospf_router_id <- Some id
 let ospf_network t node prefix area = add_ospf_network t node prefix area
 
-let set_switchport t ~node ~iface sp =
-  let s = node_state t node in
-  s.interfaces <-
-    List.map
-      (fun (i : Ast.interface) ->
-        if i.if_name = iface then { i with switchport = Some sp } else i)
-      s.interfaces
-
 let find_iface_to t a b =
   List.rev t.links
   |> List.find_map (fun ((x : Topology.endpoint), (y : Topology.endpoint)) ->

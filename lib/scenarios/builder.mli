@@ -77,8 +77,6 @@ val ospf_router_id : t -> string -> Ipv4.t -> unit
 val ospf_network : t -> string -> Prefix.t -> int -> unit
 (** Explicitly add an OSPF network statement (normally done by [p2p]/[svi]). *)
 
-val set_switchport : t -> node:string -> iface:string -> Ast.switchport -> unit
-
 val fresh_iface : t -> string -> string
 (** Allocate the next interface name ("eth<N>") on a node. *)
 

@@ -4,12 +4,6 @@ open Heimdall_msp
 
 type event_kind = Honest_repair | Exfiltration | Rogue_change | Careless
 
-let event_kind_to_string = function
-  | Honest_repair -> "honest repair"
-  | Exfiltration -> "exfiltration"
-  | Rogue_change -> "rogue change"
-  | Careless -> "careless erase"
-
 type event = { index : int; kind : event_kind }
 type model = Rmm_model | Heimdall_model
 

@@ -5,7 +5,6 @@ open Heimdall_msp
 
 let web_server = "h8"
 let sensitive_subnet = Prefix.of_string "10.3.10.0/24"
-let gateway_router = "r1"
 
 let p = Prefix.of_string
 let ia = Ifaddr.of_string

@@ -37,6 +37,3 @@ val web_server : string
 
 val sensitive_subnet : Prefix.t
 (** The protected server subnet 10.3.10.0/24. *)
-
-val gateway_router : string
-(** r1 — target of the careless-technician scenario. *)

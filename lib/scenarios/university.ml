@@ -5,8 +5,6 @@ open Heimdall_msp
 
 let web_server = "web1"
 let mail_server = "mail1"
-let firewall_node = "fw1"
-let gateway_router = "edge1"
 let sensitive_prefix = Prefix.of_string "10.16.0.0/16"
 
 let p = Prefix.of_string

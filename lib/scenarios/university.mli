@@ -27,7 +27,5 @@ val issues : Network.t -> Heimdall_msp.Issue.t list
 
 val web_server : string
 val mail_server : string
-val firewall_node : string
-val gateway_router : string
 val sensitive_prefix : Prefix.t
 (** The datacentre block 10.16.0.0/16 that fw1 protects. *)

@@ -476,20 +476,3 @@ let prove ~spec requirements =
            p.effect = Privilege.Allow && not (List.mem i used))
   in
   { sufficient = missing = []; missing; unneeded }
-
-let proof_to_string p =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (if p.sufficient then "privilege: sufficient (no mid-apply denial possible)"
-     else "privilege: INSUFFICIENT");
-  List.iter
-    (fun r ->
-      Buffer.add_string b ("\n  missing: " ^ requirement_to_string r))
-    p.missing;
-  List.iter
-    (fun (i, pr) ->
-      Buffer.add_string b
-        (Printf.sprintf "\n  unneeded grant #%d: %s" i
-           (Privilege.predicate_to_string pr)))
-    p.unneeded;
-  Buffer.contents b

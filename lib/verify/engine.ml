@@ -249,11 +249,6 @@ let dataplane ?base t net =
           store_persistent t key dp;
           insert dp)
 
-let dataplane_of_changes t ~production changes =
-  match Network.apply_changes changes production with
-  | Error _ as e -> e
-  | Ok net -> Ok (dataplane ~base:(dataplane t production) t net)
-
 (* ------------------------------------------------------------------ *)
 (* Memoized traces                                                     *)
 (* ------------------------------------------------------------------ *)

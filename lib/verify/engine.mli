@@ -89,13 +89,6 @@ val dataplane : ?base:Dataplane.t -> t -> Network.t -> Dataplane.t
     change, one failure candidate of a sweep).  The result is
     byte-identical to a full compute either way. *)
 
-val dataplane_of_changes :
-  t -> production:Network.t -> Heimdall_config.Change.t list ->
-  (Dataplane.t, string) result
-(** Apply a change set and return the (memoized) dataplane of the
-    resulting network, built incrementally against the production
-    dataplane. *)
-
 val trace : t -> Dataplane.t -> Flow.t -> Trace.result
 (** Memoized {!Trace.trace}: a per-dataplane flow cache sharded across
     independently-locked segments, so concurrent lookups of different

@@ -49,7 +49,6 @@ let to_string p =
       Printf.sprintf "%s reaches %s through %s (%s)" p.src_label p.dst_label w
         (Flow.to_string p.flow)
 
-let pp fmt p = Format.pp_print_string fmt (to_string p)
 let equal a b = a = b
 
 type verdict = Holds | Violated of string

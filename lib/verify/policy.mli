@@ -25,7 +25,6 @@ val isolated : ?id:string -> src_label:string -> dst_label:string -> Flow.t -> t
 val waypoint : ?id:string -> src_label:string -> dst_label:string -> via:string -> Flow.t -> t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 type verdict = Holds | Violated of string

@@ -352,13 +352,8 @@ let test_scheduler_empty () =
 let test_enforcer_end_to_end_approval () =
   let net, policies = fixture () in
   let issue = List.nth (Enterprise.issues net) 0 (* vlan *) in
-  let broken = issue.Heimdall_msp.Issue.inject net in
-  let slice =
-    Heimdall_twin.Twin.slice_nodes ~production:broken
-      ~endpoints:issue.Heimdall_msp.Issue.ticket.endpoints ()
-  in
-  let privilege =
-    Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.Heimdall_msp.Issue.ticket
+  let { Heimdall_msp.Workflow.broken; privilege; _ } =
+    Heimdall_msp.Workflow.prepare ~production:net issue
   in
   let em =
     Heimdall_twin.Twin.build ~production:broken

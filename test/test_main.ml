@@ -29,4 +29,5 @@ let () =
       ("enterprise", Test_enterprise.suite);
       ("fleet", Test_fleet.suite);
       ("golden", Test_golden.suite);
+      ("pipeline", Test_pipeline.suite);
     ]

@@ -346,15 +346,12 @@ let test_audit_span_correlation () =
 let test_denial_events () =
   let net, _ = Experiments.enterprise () in
   let issue = issue_of net "vlan" in
-  let broken = issue.Heimdall_msp.Issue.inject net in
   let endpoints = issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.endpoints in
   let obs = Obs.create () in
-  let em = Heimdall_twin.Twin.build ~obs ~production:broken ~endpoints () in
-  let slice = Heimdall_twin.Twin.slice_nodes ~production:broken ~endpoints () in
-  let privilege =
-    Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-      issue.Heimdall_msp.Issue.ticket
+  let { Heimdall_msp.Workflow.broken; slice; privilege; _ } =
+    Heimdall_msp.Workflow.prepare ~production:net issue
   in
+  let em = Heimdall_twin.Twin.build ~obs ~production:broken ~endpoints () in
   let session = Heimdall_twin.Twin.open_session ~obs ~privilege em in
   (* An action the least-privilege spec denies. *)
   (match Heimdall_twin.Session.exec session ("connect " ^ List.hd slice) with

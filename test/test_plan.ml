@@ -10,6 +10,8 @@ open Heimdall_privilege
 open Heimdall_sem
 open Heimdall_lint
 module Experiments = Heimdall_scenarios.Experiments
+module Plan_oracle = Heimdall_scenarios.Plan_oracle
+module Workflow = Heimdall_msp.Workflow
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -191,21 +193,8 @@ let test_plan_lint_policy_flow () =
 let scenario_tickets (sc : Experiments.scenario) =
   List.map
     (fun (issue : Heimdall_msp.Issue.t) ->
-      let broken = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
-      let slice =
-        Heimdall_twin.Twin.slice_nodes ~production:broken
-          ~endpoints:issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.endpoints ()
-      in
-      let spec =
-        Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-          issue.Heimdall_msp.Issue.ticket
-      in
-      {
-        Plan_lint.label = issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.id;
-        spec;
-        scope = slice;
-        commands = issue.Heimdall_msp.Issue.fix_commands;
-      })
+      Plan_oracle.ticket ~label:issue.ticket.id
+        (Workflow.prepare ~production:sc.Experiments.net issue))
     sc.Experiments.issues
 
 let test_check_plans_cross_domain_determinism () =
@@ -334,18 +323,8 @@ let test_mediator_determinism () =
 (* ---------------- Enforcer hold stage ---------------- *)
 
 let replay_session (sc : Experiments.scenario) (issue : Heimdall_msp.Issue.t) =
-  let broken = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
-  let endpoints = issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.endpoints in
-  let slice = Heimdall_twin.Twin.slice_nodes ~production:broken ~endpoints () in
-  let privilege =
-    Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-      issue.Heimdall_msp.Issue.ticket
-  in
-  let em = Heimdall_twin.Twin.build ~production:broken ~endpoints () in
-  let session = Heimdall_twin.Twin.open_session ~privilege em in
-  ignore
-    (Heimdall_twin.Session.exec_many session issue.Heimdall_msp.Issue.fix_commands);
-  (broken, privilege, em, session)
+  let r = Plan_oracle.replay (Workflow.prepare ~production:sc.Experiments.net issue) in
+  (r.prepared.broken, r.prepared.privilege, r.emulation, r.session)
 
 let test_enforcer_holds_on_conflict () =
   let sc = Lazy.force enterprise in
@@ -410,34 +389,6 @@ let test_scheduler_plan_footprint () =
 
 (* ---------------- Soundness regression ---------------- *)
 
-(* Exact ACL delta of a replayed session: union of the semantic diffs of
-   every (device, ACL) the session touched. *)
-let exact_delta before after =
-  List.fold_left
-    (fun acc node ->
-      let acls net =
-        match Network.config node net with
-        | Some (cfg : Ast.t) -> cfg.Ast.acls
-        | None -> []
-      in
-      let names =
-        List.sort_uniq String.compare
-          (List.map (fun (a : Acl.t) -> a.Acl.name) (acls before @ acls after))
-      in
-      List.fold_left
-        (fun acc name ->
-          let find net =
-            match Network.config node net with
-            | Some cfg -> Option.value (Ast.find_acl name cfg) ~default:(Acl.empty name)
-            | None -> Acl.empty name
-          in
-          let d = Acl_sem.diff ~before:(find before) ~after:(find after) in
-          Packet_set.union acc
-            (Packet_set.union d.Acl_sem.newly_permitted d.Acl_sem.newly_denied))
-        acc names)
-    Packet_set.empty
-    (Network.node_names before)
-
 let test_static_analysis_sound_on_scenarios () =
   List.iter
     (fun name ->
@@ -445,12 +396,8 @@ let test_static_analysis_sound_on_scenarios () =
       List.iter
         (fun (issue : Heimdall_msp.Issue.t) ->
           let label = name ^ "/" ^ issue.Heimdall_msp.Issue.name in
-          let broken, privilege, em, session = replay_session sc issue in
-          let replayed = Heimdall_twin.Emulation.changes em in
-          let script =
-            Plan_sem.script_of_commands issue.Heimdall_msp.Issue.fix_commands
-          in
-          let reqs = Plan_sem.plan_requirements ~network:broken script in
+          let r = Plan_oracle.replay (Workflow.prepare ~production:sc.Experiments.net issue) in
+          let v = Plan_oracle.check ~label r in
           (* 1. Exercised privilege is covered: every (action, node) pair
              the replay actually performed appears in the static
              requirements. *)
@@ -462,26 +409,18 @@ let test_static_analysis_sound_on_scenarios () =
                 (List.exists
                    (fun (r : Plan_sem.requirement) ->
                      r.Plan_sem.req_action = action && r.Plan_sem.req_node = node)
-                   reqs))
-            (Priv_sem.exercised replayed);
+                   v.requirements))
+            (Priv_sem.exercised r.changes);
           (* 2. The predicted packet-set delta contains the exact
              post-apply ACL diff. *)
-          let a = Plan_sem.analyze ~network:broken script.Plan_sem.script_changes in
-          let exact =
-            exact_delta
-              (Heimdall_twin.Emulation.baseline em)
-              (Heimdall_twin.Emulation.network em)
-          in
-          checkb (label ^ ": delta over-approximates") true
-            (Packet_set.subset exact a.Plan_sem.delta);
+          checkb (label ^ ": delta over-approximates") true v.delta_contained;
           (* 3. The static sufficiency verdict agrees with replay: the
              grant was proven sufficient, so the monitor denied nothing
              and the enforcer's privilege gate raises nothing. *)
-          let proof = Plan_sem.prove ~spec:privilege reqs in
-          checkb (label ^ ": proof sufficient") true proof.Plan_sem.sufficient;
-          checki (label ^ ": no denials") 0 (Heimdall_twin.Session.denied_count session);
-          checkb (label ^ ": no replay rejections") true
-            (Heimdall_enforcer.Verifier.privilege_rejections ~privilege replayed = []))
+          checkb (label ^ ": proof sufficient") true v.sufficient;
+          checki (label ^ ": no denials") 0 v.denied;
+          checki (label ^ ": no replay rejections") 0 v.rejected;
+          checkb (label ^ ": oracle sound") true (Plan_oracle.sound v))
         sc.Experiments.issues)
     [ "enterprise"; "university" ]
 
