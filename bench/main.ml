@@ -50,47 +50,32 @@ let persist_report ~key json =
 (* Paper-shaped reports                                                *)
 (* ------------------------------------------------------------------ *)
 
-let report_table1 () =
-  print_string "== Table 1: evaluation networks ==\n";
-  print_string (Experiments.render_table1 (Experiments.table1 ()));
+(* A paper artifact that is only rendered: a title, the text, a blank line. *)
+let report_text title render () =
+  print_string title;
+  print_string (render ());
   print_newline ()
 
-let report_fig7 () =
-  print_string "== Figure 7: time to solve three real issues (enterprise) ==\n";
-  let cells = Experiments.fig7 () in
+let report_fig7 ~title network () =
+  print_string title;
+  let cells = Experiments.fig7 ~network () in
   print_string (Experiments.render_fig7 cells);
   List.iter
     (fun (issue, o) -> Printf.printf "Heimdall overhead on %s: +%.1f s\n" issue o)
     (Experiments.fig7_overhead cells);
-  let overheads = List.map snd (Experiments.fig7_overhead cells) in
-  Printf.printf "average overhead: +%.1f s (paper: +28 s)\n\n"
-    (List.fold_left ( +. ) 0.0 overheads /. float_of_int (List.length overheads))
-
-let report_fig7_university () =
-  print_string
-    "== Figure 7 (university variant; the paper omits it \"due to similarity\") ==\n";
-  let cells = Experiments.fig7 ~network:`University () in
-  print_string (Experiments.render_fig7 cells);
-  List.iter
-    (fun (issue, o) -> Printf.printf "Heimdall overhead on %s: +%.1f s\n" issue o)
-    (Experiments.fig7_overhead cells);
+  if network = `Enterprise then begin
+    let overheads = List.map snd (Experiments.fig7_overhead cells) in
+    Printf.printf "average overhead: +%.1f s (paper: +28 s)\n"
+      (List.fold_left ( +. ) 0.0 overheads /. float_of_int (List.length overheads))
+  end;
   print_newline ()
 
-let report_fig8 () =
-  print_string "== Figure 8: feasibility and attack surface (enterprise) ==\n";
+let report_sweep ~title fig () =
+  print_string title;
   let engine = Heimdall_verify.Engine.create () in
   print_string
     (Experiments.render_sweep ~title:"bring down each interface; All vs Neighbor vs Heimdall"
-       (Experiments.fig8 ~engine ()));
-  print_string (Heimdall_verify.Engine.render_stats (Heimdall_verify.Engine.stats engine));
-  print_newline ()
-
-let report_fig9 () =
-  print_string "== Figure 9: feasibility and attack surface (university) ==\n";
-  let engine = Heimdall_verify.Engine.create () in
-  print_string
-    (Experiments.render_sweep ~title:"bring down each interface; All vs Neighbor vs Heimdall"
-       (Experiments.fig9 ~engine ()));
+       (fig ?engine:(Some engine) ()));
   print_string (Heimdall_verify.Engine.render_stats (Heimdall_verify.Engine.stats engine));
   print_newline ()
 
@@ -354,27 +339,6 @@ let report_sem () =
        ]);
   print_newline ()
 
-let report_ablation_verify () =
-  print_string "== Ablation A1: continuous vs batch policy verification ==\n";
-  print_string (Experiments.render_ablation_verify (Experiments.ablation_verify ()));
-  print_newline ()
-
-let report_ablation_slicer () =
-  print_string "== Ablation A2: twin slicing strategies (Figure 5 design space) ==\n";
-  print_string (Experiments.render_ablation_slicer (Experiments.ablation_slicer ()));
-  print_newline ()
-
-let report_ablation_audit () =
-  print_string "== Ablation A3: audit trail and enclave overhead ==\n";
-  print_string (Experiments.render_ablation_audit (Experiments.ablation_audit ()));
-  print_newline ()
-
-let report_campaign () =
-  print_string
-    "== Campaign: 40 tickets, 20% hostile, same event stream under both models ==\n";
-  print_string (Campaign.render (Experiments.campaign ()));
-  print_newline ()
-
 let report_chaos () =
   print_string "== Chaos: seeded fault injection over the enterprise issues ==\n";
   let seed = 42 in
@@ -532,11 +496,6 @@ let report_obs () =
                ("overhead_within_10_percent", Json.Bool within_budget);
              ] );
        ]);
-  print_newline ()
-
-let report_containment () =
-  print_string "== Attack containment (motivating incidents, paper section 2.2) ==\n";
-  print_string (Experiments.render_containment (Experiments.attack_containment ()));
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -867,19 +826,39 @@ let report_poltree () =
 
 let reports =
   [
-    ("table1", report_table1);
-    ("fig7", report_fig7);
-    ("fig7-university", report_fig7_university);
-    ("fig8", report_fig8);
-    ("fig9", report_fig9);
+    ( "table1",
+      report_text "== Table 1: evaluation networks ==\n" (fun () ->
+          Experiments.render_table1 (Experiments.table1 ())) );
+    ("fig7", report_fig7 ~title:"== Figure 7: time to solve three real issues (enterprise) ==\n" `Enterprise);
+    ( "fig7-university",
+      report_fig7
+        ~title:"== Figure 7 (university variant; the paper omits it \"due to similarity\") ==\n"
+        `University );
+    ( "fig8",
+      report_sweep ~title:"== Figure 8: feasibility and attack surface (enterprise) ==\n"
+        Experiments.fig8 );
+    ( "fig9",
+      report_sweep ~title:"== Figure 9: feasibility and attack surface (university) ==\n"
+        Experiments.fig9 );
     ("engine", report_engine);
     ("lint", report_lint);
     ("sem", report_sem);
-    ("ablation-verify", report_ablation_verify);
-    ("ablation-slicer", report_ablation_slicer);
-    ("ablation-audit", report_ablation_audit);
-    ("containment", report_containment);
-    ("campaign", report_campaign);
+    ( "ablation-verify",
+      report_text "== Ablation A1: continuous vs batch policy verification ==\n" (fun () ->
+          Experiments.render_ablation_verify (Experiments.ablation_verify ())) );
+    ( "ablation-slicer",
+      report_text "== Ablation A2: twin slicing strategies (Figure 5 design space) ==\n"
+        (fun () -> Experiments.render_ablation_slicer (Experiments.ablation_slicer ())) );
+    ( "ablation-audit",
+      report_text "== Ablation A3: audit trail and enclave overhead ==\n" (fun () ->
+          Experiments.render_ablation_audit (Experiments.ablation_audit ())) );
+    ( "containment",
+      report_text "== Attack containment (motivating incidents, paper section 2.2) ==\n"
+        (fun () -> Experiments.render_containment (Experiments.attack_containment ())) );
+    ( "campaign",
+      report_text
+        "== Campaign: 40 tickets, 20% hostile, same event stream under both models ==\n"
+        (fun () -> Campaign.render (Experiments.campaign ())) );
     ("chaos", report_chaos);
     ("scale", report_scale);
     ("poltree", report_poltree);

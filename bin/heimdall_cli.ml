@@ -63,8 +63,10 @@ let issue_arg n =
 
 let find_issue (sc : Experiments.scenario) name =
   match List.find_opt (fun (i : Heimdall_msp.Issue.t) -> i.name = name) sc.issues with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "unknown issue %S (try vlan, ospf or isp)" name)
+  | Some i -> i
+  | None ->
+      Printf.eprintf "unknown issue %S (try vlan, ospf or isp)\n" name;
+      exit 1
 
 (* An optional ISSUE: one named issue, or all of the scenario's. *)
 let issue_opt_arg what =
@@ -76,12 +78,7 @@ let issue_opt_arg what =
 
 let resolve_issues (sc : Experiments.scenario) = function
   | None -> sc.issues
-  | Some name -> (
-      match find_issue sc name with
-      | Ok i -> [ i ]
-      | Error m ->
-          prerr_endline m;
-          exit 1)
+  | Some name -> [ find_issue sc name ]
 
 let domains_arg doc =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
@@ -280,34 +277,30 @@ let ticket_cmd =
           ~doc:"Write the run's structured events to $(docv) as JSON lines.")
   in
   let run ({ Experiments.net; policies; _ } as sc) issue_name trace_out metrics events_out =
-    match find_issue sc issue_name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok issue ->
-        print_endline (Heimdall_msp.Issue.to_string issue);
-        let current = Heimdall_msp.Workflow.run_current ~production:net ~issue in
-        print_string (Heimdall_msp.Workflow.run_to_string current);
-        let obs =
-          if trace_out <> None || metrics || events_out <> None then
-            Some (Heimdall_obs.Obs.create ())
-          else None
-        in
-        let heimdall =
-          Heimdall_msp.Workflow.run_heimdall ?obs ~production:net ~policies ~issue ()
-        in
-        print_string (Heimdall_msp.Workflow.run_to_string heimdall);
-        Printf.printf "Heimdall overhead: +%.1f s\n"
-          (Heimdall_msp.Workflow.total_s heimdall -. Heimdall_msp.Workflow.total_s current);
-        (match (events_out, obs) with
-        | Some path, Some o ->
-            let sink = Heimdall_obs.Sink.file path in
-            let events = Heimdall_obs.Events.events o.events in
-            Heimdall_obs.Events.emit sink events;
-            Heimdall_obs.Sink.close sink;
-            Printf.printf "wrote %d events to %s\n" (List.length events) path
-        | _ -> ());
-        Option.iter (fun o -> dump_obs ?trace_out ~metrics o) obs
+    let issue = find_issue sc issue_name in
+    print_endline (Heimdall_msp.Issue.to_string issue);
+    let current = Heimdall_msp.Workflow.run_current ~production:net ~issue in
+    print_string (Heimdall_msp.Workflow.run_to_string current);
+    let obs =
+      if trace_out <> None || metrics || events_out <> None then
+        Some (Heimdall_obs.Obs.create ())
+      else None
+    in
+    let heimdall =
+      Heimdall_msp.Workflow.run_heimdall ?obs ~production:net ~policies ~issue ()
+    in
+    print_string (Heimdall_msp.Workflow.run_to_string heimdall);
+    Printf.printf "Heimdall overhead: +%.1f s\n"
+      (Heimdall_msp.Workflow.total_s heimdall -. Heimdall_msp.Workflow.total_s current);
+    (match (events_out, obs) with
+    | Some path, Some o ->
+        let sink = Heimdall_obs.Sink.file path in
+        let events = Heimdall_obs.Events.events o.events in
+        Heimdall_obs.Events.emit sink events;
+        Heimdall_obs.Sink.close sink;
+        Printf.printf "wrote %d events to %s\n" (List.length events) path
+    | _ -> ());
+    Option.iter (fun o -> dump_obs ?trace_out ~metrics o) obs
   in
   Cmd.v
     (Cmd.info "ticket" ~doc:"Run an issue through both workflows")
@@ -484,17 +477,13 @@ let privilege_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the JSON front-end format.")
   in
   let run ({ Experiments.net; _ } as sc) issue_name json =
-    match find_issue sc issue_name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok issue ->
-        let { Heimdall_msp.Workflow.slice; privilege = spec; _ } =
-          Heimdall_msp.Workflow.prepare ~production:net issue
-        in
-        Printf.printf "twin slice: %s\n\n" (String.concat ", " slice);
-        if json then print_endline (Heimdall_privilege.Json_frontend.render ~pretty:true spec)
-        else print_string (Heimdall_privilege.Dsl.render spec)
+    let issue = find_issue sc issue_name in
+    let { Heimdall_msp.Workflow.slice; privilege = spec; _ } =
+      Heimdall_msp.Workflow.prepare ~production:net issue
+    in
+    Printf.printf "twin slice: %s\n\n" (String.concat ", " slice);
+    if json then print_endline (Heimdall_privilege.Json_frontend.render ~pretty:true spec)
+    else print_string (Heimdall_privilege.Dsl.render spec)
   in
   Cmd.v
     (Cmd.info "privilege" ~doc:"Print the generated Privilege_msp for an issue")
@@ -557,6 +546,16 @@ let print_lint_rules () =
   Printf.printf "%d rules in %d families\n" (List.length Lint.rules)
     (List.length families)
 
+(* --rules lists the rule registry instead of analysing; otherwise the
+   positional target is required. *)
+let unless_rules ~docv rules target f =
+  match (rules, target) with
+  | true, _ -> print_lint_rules ()
+  | false, None ->
+      Printf.eprintf "heimdall: required argument %s is missing (or pass --rules)\n" docv;
+      exit 124
+  | false, Some target -> f target
+
 let lint_target_arg =
   Arg.(
     value
@@ -609,35 +608,30 @@ let print_report_and_exit ~name ~json ~header findings_filtered ~fail =
 let lint_cmd =
   let open Heimdall_lint in
   let run target json severity domains rules cache_dir =
-    match (rules, target) with
-    | true, _ -> print_lint_rules ()
-    | false, None ->
-        prerr_endline "heimdall: required argument NETWORK is missing (or pass --rules)";
-        exit 124
-    | false, Some target ->
-        let name, net, issues = resolve_lint_target target in
-        let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
-        let config_findings = Lint.check_network ~engine net in
-        (* Also lint the privilege spec Heimdall would generate for each of
-           the scenario's issues — the third analyzer family. *)
-        let priv_findings =
-          List.concat_map
-            (fun (issue : Heimdall_msp.Issue.t) ->
-              let p = Heimdall_msp.Workflow.prepare ~production:net issue in
-              Lint.check_privilege ~network:p.broken ~label:("ticket:" ^ issue.name)
-                p.privilege)
-            issues
-        in
-        let findings, fail =
-          Lint.apply_severity ~min_severity:severity
-            (List.sort Diagnostic.compare (config_findings @ priv_findings))
-        in
-        let header =
-          Printf.sprintf "lint %s: %d devices, %d privilege specs\n" name
-            (List.length (Network.node_names net))
-            (List.length issues)
-        in
-        print_report_and_exit ~name ~json ~header findings ~fail
+    unless_rules ~docv:"NETWORK" rules target @@ fun target ->
+    let name, net, issues = resolve_lint_target target in
+    let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
+    let config_findings = Lint.check_network ~engine net in
+    (* Also lint the privilege spec Heimdall would generate for each of
+       the scenario's issues — the third analyzer family. *)
+    let priv_findings =
+      List.concat_map
+        (fun (issue : Heimdall_msp.Issue.t) ->
+          let p = Heimdall_msp.Workflow.prepare ~production:net issue in
+          Lint.check_privilege ~network:p.broken ~label:("ticket:" ^ issue.name)
+            p.privilege)
+        issues
+    in
+    let findings, fail =
+      Lint.apply_severity ~min_severity:severity
+        (List.sort Diagnostic.compare (config_findings @ priv_findings))
+    in
+    let header =
+      Printf.sprintf "lint %s: %d devices, %d privilege specs\n" name
+        (List.length (Network.node_names net))
+        (List.length issues)
+    in
+    print_report_and_exit ~name ~json ~header findings ~fail
   in
   Cmd.v
     (Cmd.info "lint"
@@ -672,86 +666,81 @@ let analyze_cmd =
              non-zero otherwise).")
   in
   let run target json severity domains rules seed_defect plan cache_dir =
-    match (rules, target) with
-    | true, _ -> print_lint_rules ()
-    | false, None ->
-        prerr_endline "heimdall: required argument NETWORK is missing (or pass --rules)";
-        exit 124
-    | false, Some target ->
-        let name, net, issues = resolve_lint_target target in
-        let net, seeded =
-          if seed_defect then
-            match Heimdall_poltree.Analysis.seed_acl004 net with
-            | Ok (net, node, acl) -> (net, Some (node, acl))
-            | Error m ->
-                prerr_endline ("heimdall: --seed-defect " ^ m);
-                exit 124
-          else (net, None)
-        in
-        let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
-        let net_findings = Lint.check_network ~engine net in
-        let policies =
-          match Experiments.scenario_of_name target with
-          | Some sc when plan -> sc.Experiments.policies
-          | Some _ | None -> []
-        in
-        (* Per issue: lint the generated spec, replay the scripted fix once
-           in a twin session, ask the over-grant analyzer (PRV004) what
-           privilege the grant carried that the fix never exercised and,
-           with --plan, judge the static plan analysis against the same
-           replay. *)
-        let per_issue =
-          List.map
-            (fun (issue : Heimdall_msp.Issue.t) ->
-              let label = "ticket:" ^ issue.name in
-              let p = Heimdall_msp.Workflow.prepare ~production:net issue in
-              let replay = Plan_oracle.replay p in
-              let findings =
-                Lint.check_privilege ~network:p.broken ~label p.privilege
-                @ Lint.check_privilege_usage ~label ~network:p.broken ~spec:p.privilege
-                    ~changes:replay.changes ()
-              in
-              let verdict =
-                if plan then Some (Plan_oracle.check ~engine ~policies ~label replay)
-                else None
-              in
-              (findings, verdict))
-            issues
-        in
-        let verdicts = List.filter_map snd per_issue in
-        let plan_failures = List.concat_map Plan_oracle.failures verdicts in
-        let findings, fail =
-          Lint.apply_severity ~min_severity:severity
-            (List.sort Diagnostic.compare
-               (net_findings
-               @ List.concat_map fst per_issue
-               @ List.concat_map (fun (v : Plan_oracle.verdict) -> v.findings) verdicts))
-        in
-        let header =
-          let acl_count =
-            List.fold_left
-              (fun n (_, (cfg : Heimdall_config.Ast.t)) -> n + List.length cfg.acls)
-              0 (Network.configs net)
+    unless_rules ~docv:"NETWORK" rules target @@ fun target ->
+    let name, net, issues = resolve_lint_target target in
+    let net, seeded =
+      if seed_defect then
+        match Heimdall_poltree.Analysis.seed_acl004 net with
+        | Ok (net, node, acl) -> (net, Some (node, acl))
+        | Error m ->
+            prerr_endline ("heimdall: --seed-defect " ^ m);
+            exit 124
+      else (net, None)
+    in
+    let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
+    let net_findings = Lint.check_network ~engine net in
+    let policies =
+      match Experiments.scenario_of_name target with
+      | Some sc when plan -> sc.Experiments.policies
+      | Some _ | None -> []
+    in
+    (* Per issue: lint the generated spec, replay the scripted fix once
+       in a twin session, ask the over-grant analyzer (PRV004) what
+       privilege the grant carried that the fix never exercised and,
+       with --plan, judge the static plan analysis against the same
+       replay. *)
+    let per_issue =
+      List.map
+        (fun (issue : Heimdall_msp.Issue.t) ->
+          let label = "ticket:" ^ issue.name in
+          let p = Heimdall_msp.Workflow.prepare ~production:net issue in
+          let replay = Plan_oracle.replay p in
+          let findings =
+            Lint.check_privilege ~network:p.broken ~label p.privilege
+            @ Lint.check_privilege_usage ~label ~network:p.broken ~spec:p.privilege
+                ~changes:replay.changes ()
           in
-          Printf.sprintf "analyze %s: %d devices, %d ACLs, %d tickets%s\n" name
-            (List.length (Network.node_names net))
-            acl_count (List.length issues)
-            (match seeded with
-            | Some (node, acl) ->
-                Printf.sprintf " [seeded union-shadow defect into %s/%s]" node acl
-            | None -> "")
-        in
-        (* Soundness verdicts go to stderr so --json output stays a
-           single clean report. *)
-        List.iter (fun m -> prerr_endline ("plan soundness: FAIL — " ^ m)) plan_failures;
-        if plan && plan_failures = [] then
-          prerr_endline
-            (Printf.sprintf
-               "plan soundness: %d ticket(s) checked — predicted delta contains the \
-                exact diff, privilege verdict agrees with replay"
-               (List.length issues));
-        print_report_and_exit ~name ~json ~header findings
-          ~fail:(fail || plan_failures <> [])
+          let verdict =
+            if plan then Some (Plan_oracle.check ~engine ~policies ~label replay)
+            else None
+          in
+          (findings, verdict))
+        issues
+    in
+    let verdicts = List.filter_map snd per_issue in
+    let plan_failures = List.concat_map Plan_oracle.failures verdicts in
+    let findings, fail =
+      Lint.apply_severity ~min_severity:severity
+        (List.sort Diagnostic.compare
+           (net_findings
+           @ List.concat_map fst per_issue
+           @ List.concat_map (fun (v : Plan_oracle.verdict) -> v.findings) verdicts))
+    in
+    let header =
+      let acl_count =
+        List.fold_left
+          (fun n (_, (cfg : Heimdall_config.Ast.t)) -> n + List.length cfg.acls)
+          0 (Network.configs net)
+      in
+      Printf.sprintf "analyze %s: %d devices, %d ACLs, %d tickets%s\n" name
+        (List.length (Network.node_names net))
+        acl_count (List.length issues)
+        (match seeded with
+        | Some (node, acl) ->
+            Printf.sprintf " [seeded union-shadow defect into %s/%s]" node acl
+        | None -> "")
+    in
+    (* Soundness verdicts go to stderr so --json output stays a
+       single clean report. *)
+    List.iter (fun m -> prerr_endline ("plan soundness: FAIL — " ^ m)) plan_failures;
+    if plan && plan_failures = [] then
+      prerr_endline
+        (Printf.sprintf
+           "plan soundness: %d ticket(s) checked — predicted delta contains the \
+            exact diff, privilege verdict agrees with replay"
+           (List.length issues));
+    print_report_and_exit ~name ~json ~header findings
+      ~fail:(fail || plan_failures <> [])
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -874,100 +863,95 @@ let policy_cmd =
              allow breaking refinement), then analyse.  The run must exit non-zero.")
   in
   let run target json severity domains rules show compiled diff_target seed cache_dir =
-    match (rules, target) with
-    | true, _ -> print_lint_rules ()
-    | false, None ->
-        prerr_endline "heimdall: required argument TARGET is missing (or pass --rules)";
-        exit 124
-    | false, Some target -> (
-        let name, tree, policies, issues, network = resolve_policy_target target in
-        let tree, seeded =
-          match seed with
-          | None -> (tree, None)
-          | Some kind -> (
-              let seeder, code =
-                match kind with
-                | `Pol001 -> (Analysis.seed_pol001, "POL001")
-                | `Pol004 -> (Analysis.seed_pol004, "POL004")
-              in
-              match seeder tree with
-              | Ok t -> (t, Some code)
-              | Error m ->
-                  prerr_endline ("heimdall: --seed-defect: " ^ m);
-                  exit 124)
-        in
-        if show then print_string (Poltree.render tree)
-        else
-          match Compile.compile tree with
+    unless_rules ~docv:"TARGET" rules target @@ fun target ->
+    let name, tree, policies, issues, network = resolve_policy_target target in
+    let tree, seeded =
+      match seed with
+      | None -> (tree, None)
+      | Some kind -> (
+          let seeder, code =
+            match kind with
+            | `Pol001 -> (Analysis.seed_pol001, "POL001")
+            | `Pol004 -> (Analysis.seed_pol004, "POL004")
+          in
+          match seeder tree with
+          | Ok t -> (t, Some code)
           | Error m ->
-              prerr_endline ("heimdall: compile: " ^ m);
-              exit 124
-          | Ok c -> (
-              match diff_target with
-              | Some other -> (
-                  let other_name, other_tree, _, _, _ = resolve_policy_target other in
-                  match Compile.compile other_tree with
-                  | Error m ->
-                      prerr_endline
-                        (Printf.sprintf "heimdall: compile %s: %s" other_name m);
-                      exit 124
-                  | Ok oc ->
-                      let d = Compile.diff c oc in
-                      if Compile.diff_is_empty d then
-                        Printf.printf "%s and %s are semantically identical\n" name
-                          other_name
-                      else begin
-                        print_string (Compile.render_diff d);
-                        exit 1
-                      end)
-              | None ->
-                  if compiled then begin
-                    Printf.printf
-                      "compiled %s: %d nodes (%d leaves), %d permit cubes, %d \
-                       waypoint sets\n"
-                      name
-                      (List.length c.Compile.nodes)
-                      (List.length c.Compile.leaves)
-                      (Packet_set.cube_count c.Compile.permit)
-                      (List.length c.Compile.requires);
-                    List.iter
-                      (fun (l : Compile.leaf) ->
-                        Printf.printf "  %-40s permit %4d cubes%s\n" l.Compile.leaf_path
-                          (Packet_set.cube_count l.Compile.leaf_permit)
-                          (match l.Compile.leaf_requires with
-                          | [] -> ""
-                          | ws ->
-                              "  via "
-                              ^ String.concat ", " (List.map fst ws)))
-                      c.Compile.leaves
-                  end
-                  else
-                    let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
-                    let tickets =
-                      match network with
-                      | Some net -> poltree_tickets net issues
-                      | None -> []
-                    in
-                    let findings =
-                      Analysis.check ~engine ~policies ~tickets ?network c
-                    in
-                    let findings, fail =
-                      Lint.apply_severity ~min_severity:severity findings
-                    in
-                    let header =
-                      Printf.sprintf
-                        "policy %s: %d nodes, %d rules, %d leaves, %d flat policies, \
-                         %d tickets%s\n"
-                        name
-                        (List.length c.Compile.nodes)
-                        (Poltree.rule_count tree)
-                        (List.length c.Compile.leaves)
-                        (List.length policies) (List.length tickets)
-                        (match seeded with
-                        | Some code -> Printf.sprintf " [seeded %s defect]" code
-                        | None -> "")
-                    in
-                    print_report_and_exit ~name ~json ~header findings ~fail))
+              prerr_endline ("heimdall: --seed-defect: " ^ m);
+              exit 124)
+    in
+    if show then print_string (Poltree.render tree)
+    else
+      match Compile.compile tree with
+      | Error m ->
+          prerr_endline ("heimdall: compile: " ^ m);
+          exit 124
+      | Ok c -> (
+          match diff_target with
+          | Some other -> (
+              let other_name, other_tree, _, _, _ = resolve_policy_target other in
+              match Compile.compile other_tree with
+              | Error m ->
+                  prerr_endline
+                    (Printf.sprintf "heimdall: compile %s: %s" other_name m);
+                  exit 124
+              | Ok oc ->
+                  let d = Compile.diff c oc in
+                  if Compile.diff_is_empty d then
+                    Printf.printf "%s and %s are semantically identical\n" name
+                      other_name
+                  else begin
+                    print_string (Compile.render_diff d);
+                    exit 1
+                  end)
+          | None ->
+              if compiled then begin
+                Printf.printf
+                  "compiled %s: %d nodes (%d leaves), %d permit cubes, %d \
+                   waypoint sets\n"
+                  name
+                  (List.length c.Compile.nodes)
+                  (List.length c.Compile.leaves)
+                  (Packet_set.cube_count c.Compile.permit)
+                  (List.length c.Compile.requires);
+                List.iter
+                  (fun (l : Compile.leaf) ->
+                    Printf.printf "  %-40s permit %4d cubes%s\n" l.Compile.leaf_path
+                      (Packet_set.cube_count l.Compile.leaf_permit)
+                      (match l.Compile.leaf_requires with
+                      | [] -> ""
+                      | ws ->
+                          "  via "
+                          ^ String.concat ", " (List.map fst ws)))
+                  c.Compile.leaves
+              end
+              else
+                let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
+                let tickets =
+                  match network with
+                  | Some net -> poltree_tickets net issues
+                  | None -> []
+                in
+                let findings =
+                  Analysis.check ~engine ~policies ~tickets ?network c
+                in
+                let findings, fail =
+                  Lint.apply_severity ~min_severity:severity findings
+                in
+                let header =
+                  Printf.sprintf
+                    "policy %s: %d nodes, %d rules, %d leaves, %d flat policies, \
+                     %d tickets%s\n"
+                    name
+                    (List.length c.Compile.nodes)
+                    (Poltree.rule_count tree)
+                    (List.length c.Compile.leaves)
+                    (List.length policies) (List.length tickets)
+                    (match seeded with
+                    | Some code -> Printf.sprintf " [seeded %s defect]" code
+                    | None -> "")
+                in
+                print_report_and_exit ~name ~json ~header findings ~fail)
   in
   let target_arg =
     Arg.(
@@ -1314,66 +1298,58 @@ let shell_cmd =
     Arg.(value & flag & info [ "emergency" ]
            ~doc:"Bypass the twin: commands hit production through the enforcer.")
   in
+  (* Read and answer lines until EOF, "quit" or "exit". *)
+  let repl prompt exec =
+    let rec loop () =
+      print_string prompt;
+      match read_line () with
+      | exception End_of_file -> ()
+      | "quit" | "exit" -> ()
+      | line when String.trim line = "" -> loop ()
+      | line ->
+          (match exec line with
+          | Ok out -> print_string out
+          | Error m -> print_endline ("% " ^ m));
+          loop ()
+    in
+    loop ()
+  in
   let run ({ Experiments.net; policies; _ } as sc) issue_name emergency =
-    match find_issue sc issue_name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok issue ->
-        let { Heimdall_msp.Workflow.broken; slice; privilege; _ } =
-          Heimdall_msp.Workflow.prepare ~production:net issue
-        in
-        let endpoints = issue.Heimdall_msp.Issue.ticket.endpoints in
-        print_endline (Heimdall_msp.Issue.to_string issue);
-        Printf.printf "twin slice: %s\n" (String.concat ", " slice);
-        print_endline "type commands ('quit' to leave; e.g. 'connect r4', 'show ip route'):";
-        if emergency then begin
-          let session =
-            Heimdall_msp.Emergency.open_session ~reason:"operator shell" ~production:broken
-              ~policies ~privilege ()
-          in
-          let rec loop () =
-            print_string "heimdall(EMERGENCY)> ";
-            match read_line () with
-            | exception End_of_file -> ()
-            | "quit" | "exit" -> ()
-            | line when String.trim line = "" -> loop ()
-            | line ->
-                (match Heimdall_msp.Emergency.exec session line with
-                | Ok out -> print_string out
-                | Error r ->
-                    print_endline ("% " ^ Heimdall_msp.Emergency.refusal_to_string r));
-                loop ()
-          in
-          loop ();
-          print_endline "--- emergency audit trail ---";
-          print_endline
-            (Heimdall_enforcer.Audit.to_string (Heimdall_msp.Emergency.audit session))
-        end
-        else begin
-          let em = Heimdall_twin.Twin.build ~production:broken ~endpoints () in
-          let session = Heimdall_twin.Twin.open_session ~privilege em in
-          let rec loop () =
-            print_string "heimdall(twin)> ";
-            match read_line () with
-            | exception End_of_file -> ()
-            | "quit" | "exit" -> ()
-            | line when String.trim line = "" -> loop ()
-            | line ->
-                (match Heimdall_twin.Session.exec session line with
-                | Ok out -> print_string out
-                | Error e ->
-                    print_endline ("% " ^ Heimdall_twin.Session.error_to_string e));
-                loop ()
-          in
-          loop ();
-          print_endline "--- enforcer ---";
-          let outcome =
-            Heimdall_enforcer.Enforcer.process ~production:broken ~policies ~privilege
-              ~session ()
-          in
-          print_string (Heimdall_enforcer.Enforcer.outcome_to_string outcome)
-        end
+    let issue = find_issue sc issue_name in
+    let { Heimdall_msp.Workflow.broken; slice; privilege; _ } =
+      Heimdall_msp.Workflow.prepare ~production:net issue
+    in
+    print_endline (Heimdall_msp.Issue.to_string issue);
+    Printf.printf "twin slice: %s\n" (String.concat ", " slice);
+    print_endline "type commands ('quit' to leave; e.g. 'connect r4', 'show ip route'):";
+    if emergency then begin
+      let session =
+        Heimdall_msp.Emergency.open_session ~reason:"operator shell" ~production:broken
+          ~policies ~privilege ()
+      in
+      repl "heimdall(EMERGENCY)> " (fun line ->
+          Result.map_error Heimdall_msp.Emergency.refusal_to_string
+            (Heimdall_msp.Emergency.exec session line));
+      print_endline "--- emergency audit trail ---";
+      print_endline
+        (Heimdall_enforcer.Audit.to_string (Heimdall_msp.Emergency.audit session))
+    end
+    else begin
+      let em =
+        Heimdall_twin.Twin.build ~production:broken
+          ~endpoints:issue.Heimdall_msp.Issue.ticket.endpoints ()
+      in
+      let session = Heimdall_twin.Twin.open_session ~privilege em in
+      repl "heimdall(twin)> " (fun line ->
+          Result.map_error Heimdall_twin.Session.error_to_string
+            (Heimdall_twin.Session.exec session line));
+      print_endline "--- enforcer ---";
+      let outcome =
+        Heimdall_enforcer.Enforcer.process ~production:broken ~policies ~privilege
+          ~session ()
+      in
+      print_string (Heimdall_enforcer.Enforcer.outcome_to_string outcome)
+    end
   in
   Cmd.v
     (Cmd.info "shell"

@@ -26,6 +26,8 @@ let resource_subsumes (outer : Privilege.resource) (inner : Privilege.resource) 
   | Some oi -> (
       match inner.iface with None -> false | Some ii -> pattern_subsumes oi ii)
 
+(* Every (action, resource) pair [inner] matches is also matched by
+   [outer]. *)
 let predicate_subsumes (outer : Privilege.predicate) (inner : Privilege.predicate) =
   List.for_all
     (fun pi -> List.exists (fun po -> pattern_subsumes po pi) outer.actions)

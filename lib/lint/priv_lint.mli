@@ -21,10 +21,6 @@
 open Heimdall_control
 open Heimdall_privilege
 
-val predicate_subsumes : Privilege.predicate -> Privilege.predicate -> bool
-(** Every (action, resource) pair the second predicate matches is also
-    matched by the first. *)
-
 val check : ?network:Network.t -> Privilege.t -> Diagnostic.t list
 (** All findings for one spec, canonically ordered.  Statement positions
     (1-based) are reported as the diagnostic line; [network] enables the

@@ -9,6 +9,7 @@ type seg = {
   seg_owners : string list;
 }
 
+(* Deterministic node name for a segment, e.g. "net-10.3.10.0-24". *)
 let leaf_name p =
   "net-" ^ String.map (fun c -> if c = '/' then '-' else c) (Prefix.to_string p)
 

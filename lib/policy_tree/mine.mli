@@ -29,9 +29,6 @@ val segs_of_network : Network.t -> seg list
     (["area-N"]), owners from the device holding the subnet address.
     Sorted by prefix. *)
 
-val leaf_name : Prefix.t -> string
-(** Deterministic node name for a segment, e.g. ["net-10.3.10.0-24"]. *)
-
 val of_policies : segs:seg list -> Policy.t list -> Poltree.t
 (** Cluster the policies into the given segment hierarchy. *)
 

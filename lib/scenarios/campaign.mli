@@ -19,8 +19,6 @@ type event = { index : int; kind : event_kind }
 
 type model = Rmm_model | Heimdall_model
 
-val model_to_string : model -> string
-
 type tally = {
   model : model;
   tickets : int;
@@ -41,3 +39,8 @@ val run : ?seed:int -> ?tickets:int -> ?malicious_pct:int -> Network.t ->
 (** Replay the same event stream under both models on the given network
     (defaults: seed 42, 40 tickets, 20% malicious).  Honest repairs pick
     (round-robin) from the provided issues. *)
+
+val heimdall_session_for :
+  Network.t -> Heimdall_msp.Ticket.t -> Heimdall_twin.Session.t * Heimdall_privilege.Privilege.t
+(** A technician's twin session for [ticket] on [net] under the generated
+    least-privilege grant, and that grant. *)

@@ -370,16 +370,6 @@ type containment = {
   heimdall_blocked : bool;
 }
 
-let heimdall_session net ticket =
-  let slice =
-    Heimdall_twin.Twin.slice_nodes ~production:net ~endpoints:ticket.Ticket.endpoints ()
-  in
-  let privilege = Priv_gen.for_ticket ~network:net ~slice ticket in
-  let emulation =
-    Heimdall_twin.Twin.build ~production:net ~endpoints:ticket.Ticket.endpoints ()
-  in
-  (Heimdall_twin.Twin.open_session ~privilege emulation, privilege)
-
 let exfiltration_scenario () =
   let net, policies = enterprise () in
   let routers =
@@ -391,7 +381,7 @@ let exfiltration_scenario () =
   let baseline = Attacks.exfiltrate ~production:net ~targets:routers baseline_session in
   (* Heimdall: the attacker holds a twin session for a VLAN ticket. *)
   let ticket = (List.nth (Enterprise.issues net) 0).Issue.ticket in
-  let session, _ = heimdall_session net ticket in
+  let session, _ = Campaign.heimdall_session_for net ticket in
   let heimdall = Attacks.exfiltrate ~production:net ~targets:routers session in
   ignore policies;
   {
@@ -424,7 +414,7 @@ let malicious_acl_scenario () =
       ~description:"h1 reports intermittent access to the web server"
       ~endpoints:[ "h1"; "h8" ]
   in
-  let session, privilege = heimdall_session net ticket in
+  let session, privilege = Campaign.heimdall_session_for net ticket in
   let (_ : (string, Heimdall_twin.Session.error) result list) =
     Heimdall_twin.Session.exec_many session commands
   in
@@ -456,7 +446,7 @@ let careless_erase_scenario () =
   let baseline_after = Rmm.resulting_network baseline_session in
   let baseline_damage = Attacks.policy_damage ~policies ~before:net ~after:baseline_after in
   let ticket = (List.nth (Enterprise.issues net) 2).Issue.ticket in
-  let session, privilege = heimdall_session net ticket in
+  let session, privilege = Campaign.heimdall_session_for net ticket in
   let (_ : (string, Heimdall_twin.Session.error) result list) =
     Heimdall_twin.Session.exec_many session commands
   in

@@ -1,11 +1,10 @@
 (** Soundness oracle for the static plan analysis.
 
     A prepared ticket ({!Heimdall_msp.Workflow.prepare}) is replayed once
-    in its twin under the generated grant.  The static answers of
-    {!Heimdall_sem.Plan_sem} must over-approximate what that replay
-    actually did: the predicted packet-set delta must contain the exact
-    post-apply ACL diff, and a grant proven sufficient must see neither a
-    monitor denial nor an enforcer privilege rejection. *)
+    in its twin under the generated grant.  {!Heimdall_sem.Plan_sem} must
+    over-approximate that replay: the predicted packet-set delta contains
+    the exact post-apply ACL diff, and a grant proven sufficient meets no
+    monitor denial and no enforcer privilege rejection. *)
 
 open Heimdall_msp
 
@@ -13,7 +12,7 @@ type replay = {
   prepared : Workflow.prepared;
   emulation : Heimdall_twin.Emulation.t;
   session : Heimdall_twin.Session.t;
-  changes : Heimdall_config.Change.t list;  (** The configuration edits extracted from the twin. *)
+  changes : Heimdall_config.Change.t list;  (** The edits extracted from the twin. *)
 }
 
 val replay : Workflow.prepared -> replay
@@ -21,20 +20,17 @@ val replay : Workflow.prepared -> replay
     run the issue's fix script in it. *)
 
 val ticket : label:string -> Workflow.prepared -> Heimdall_lint.Plan_lint.ticket
-(** The PLAN-lint view of a prepared ticket: its grant, its slice as scope
-    and its fix script. *)
+(** The PLAN-lint view of a prepared ticket: grant, slice as scope, fix
+    script. *)
 
 type verdict = {
   label : string;
-  findings : Heimdall_lint.Diagnostic.t list;  (** PLAN findings for the ticket. *)
-  requirements : Heimdall_sem.Plan_sem.requirement list;
-      (** The fix script's static privilege requirements. *)
-  delta_contained : bool;
-      (** The exact post-apply ACL diff lies inside the predicted delta. *)
+  findings : Heimdall_lint.Diagnostic.t list;  (** PLAN findings. *)
+  requirements : Heimdall_sem.Plan_sem.requirement list;  (** Static requirements. *)
+  delta_contained : bool;  (** The exact ACL diff lies in the predicted delta. *)
   sufficient : bool;  (** The grant is statically proven sufficient. *)
-  denied : int;  (** Commands the twin monitor denied during the replay. *)
-  rejected : int;
-      (** Changes {!Heimdall_enforcer.Verifier.privilege_rejections} rejects. *)
+  denied : int;  (** Commands the twin monitor denied. *)
+  rejected : int;  (** Changes {!Heimdall_enforcer.Verifier.privilege_rejections} rejects. *)
 }
 
 val check :
@@ -43,15 +39,14 @@ val check :
   label:string ->
   replay ->
   verdict
-(** Judge the static plan analysis of one replayed ticket.  [label] names
-    the ticket in its findings and failure messages; [policies] enables
-    PLAN005. *)
+(** Judge one replayed ticket.  [label] names it in findings and failure
+    messages; [policies] enables PLAN005. *)
 
 val sufficiency_agrees : verdict -> bool
-(** Static sufficiency implies a replay with no denial and no rejection. *)
+(** Static sufficiency implies no denial and no rejection. *)
 
 val sound : verdict -> bool
 (** The delta is contained and sufficiency agrees with the replay. *)
 
 val failures : verdict -> string list
-(** One message per broken criterion, [[]] when {!sound}. *)
+(** One message per broken criterion; [[]] when {!sound}. *)

@@ -1,6 +1,8 @@
 open Heimdall_net
 
-(* One left-to-right pass: [covered] is the union of every earlier rule's
+(* For each rule, in order, the packets it actually decides: its match
+   set minus everything earlier rules already matched (empty = dead).
+   One left-to-right pass: [covered] is the union of every earlier rule's
    match set, so each rule's decided set is just its match set minus
    [covered] — first-match-wins, compiled. *)
 let decided_sets (acl : Acl.t) =

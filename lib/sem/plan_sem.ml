@@ -40,6 +40,7 @@ type requirement = {
   source : string;
 }
 
+(* Orders on (node, action, iface) — [source] is a label, not identity. *)
 let requirement_compare a b =
   match String.compare a.req_node b.req_node with
   | 0 -> (

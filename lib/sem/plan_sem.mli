@@ -48,9 +48,6 @@ type requirement = {
   source : string;  (** The command or change the requirement came from. *)
 }
 
-val requirement_compare : requirement -> requirement -> int
-(** Orders on (node, action, iface) — [source] is a label, not identity. *)
-
 val requirement_to_string : requirement -> string
 
 type effect_sig = {

@@ -25,8 +25,6 @@ type options = {
           these services. *)
 }
 
-val default_options : options
-
 val host_subnets : Network.t -> (Prefix.t * string list) list
 (** Subnets with at least one attached host, with the hosts attached to
     each, sorted by prefix. *)
