@@ -1,7 +1,7 @@
 # CI entry points.  `make check` is what the pipeline runs on every
 # change: a full build plus the tier-1 test suite.
 
-.PHONY: check build test lint analyze-smoke plan-smoke policy-smoke bench bench-smoke chaos-smoke scale-smoke serve-smoke clean
+.PHONY: check build test lint analyze-smoke plan-smoke policy-smoke bench bench-smoke bench-pins chaos-smoke scale-smoke serve-smoke clean
 
 check: build test
 
@@ -67,6 +67,13 @@ bench:
 # criterion skipped, and recorded as skipped, on single-core hosts).
 bench-smoke: build
 	dune exec bench/main.exe -- lint engine
+
+# The benchmark's own smoke test: every workload runs a few units and
+# each ticket's audit head and final network digest, and every sweep
+# verdict, must match perfbench/pins.txt.  A refactor that moves an audit
+# record fails here, not only in the benchmark pipeline.
+bench-pins: build
+	python3 perfbench/smoke.py
 
 # Seeded fault-injection run over the enterprise issues: exits non-zero
 # unless every issue resolves with zero surviving policy violations and

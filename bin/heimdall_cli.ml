@@ -570,10 +570,10 @@ let lint_target_arg =
    just the network on disk. *)
 let resolve_lint_target target =
   match Experiments.scenario_of_name target with
-  | Some sc -> (sc.Experiments.scenario_name, sc.Experiments.net, sc.Experiments.issues)
+  | Some sc -> sc
   | None when Sys.file_exists target && Sys.is_directory target -> (
       match Loader.load_dir target with
-      | Ok net -> (target, net, [])
+      | Ok net -> { Experiments.scenario_name = target; net; policies = []; issues = [] }
       | Error e ->
           prerr_endline (Loader.error_to_string e);
           exit 124)
@@ -609,7 +609,7 @@ let lint_cmd =
   let open Heimdall_lint in
   let run target json severity domains rules cache_dir =
     unless_rules ~docv:"NETWORK" rules target @@ fun target ->
-    let name, net, issues = resolve_lint_target target in
+    let { Experiments.scenario_name = name; net; issues; _ } = resolve_lint_target target in
     let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
     let config_findings = Lint.check_network ~engine net in
     (* Also lint the privilege spec Heimdall would generate for each of
@@ -667,7 +667,9 @@ let analyze_cmd =
   in
   let run target json severity domains rules seed_defect plan cache_dir =
     unless_rules ~docv:"NETWORK" rules target @@ fun target ->
-    let name, net, issues = resolve_lint_target target in
+    let { Experiments.scenario_name = name; net; policies; issues } =
+      resolve_lint_target target
+    in
     let net, seeded =
       if seed_defect then
         match Heimdall_poltree.Analysis.seed_acl004 net with
@@ -679,11 +681,6 @@ let analyze_cmd =
     in
     let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
     let net_findings = Lint.check_network ~engine net in
-    let policies =
-      match Experiments.scenario_of_name target with
-      | Some sc when plan -> sc.Experiments.policies
-      | Some _ | None -> []
-    in
     (* Per issue: lint the generated spec, replay the scripted fix once
        in a twin session, ask the over-grant analyzer (PRV004) what
        privilege the grant carried that the fix never exercised and,
