@@ -310,7 +310,8 @@ let report_sem () =
     let sound = count Plan_oracle.sound in
     if sound < List.length verdicts then gate_failed := true;
     Printf.printf
-      "  %-10s %d tickets, %d findings; 1 domain %.4f s; %d domains %.4f s; identical: %b; delta sound: %d/%d; plan sound: %d/%d\n"
+      "  %-10s %d tickets, %d findings; 1 domain %.4f s; %d domains %.4f s; \
+       identical: %b; delta sound: %d/%d; plan sound: %d/%d\n"
       name (List.length tickets) (List.length f1) t1 n tn identical delta_sound
       (List.length tickets) sound (List.length tickets);
     let open Heimdall_json in
@@ -650,12 +651,12 @@ let report_scale () =
         in
         let r = Scale.run ~issues params in
         if not (Scale.passed r) then passed := false;
-        let gate_ok stage = List.for_all (fun (g : Scale.gate) -> g.stage <> stage || g.ok) r.gates in
-        let deterministic = gate_ok Scale.Generation in
-        let verdicts_ok = gate_ok Scale.Verify in
+        let failed = List.filter (fun (g : Scale.gate) -> not g.ok) r.gates in
         let violations = List.length r.report.Heimdall_verify.Policy.violations in
         let lint_errors = List.length (Scale.lint_errors r) in
-        let workflow_s = List.fold_left (fun acc (i : Scale.issue_run) -> acc +. i.wall_s) 0.0 r.issues in
+        let workflow_s =
+          List.fold_left (fun acc (i : Scale.issue_run) -> acc +. i.wall_s) 0.0 r.issues
+        in
         let speedup = r.dataplane_s /. Float.max 1e-9 r.dataplane_n_s in
         let rss_kb = Option.value ~default:0 r.peak_rss_kb in
         Printf.printf
@@ -665,14 +666,13 @@ let report_scale () =
           r.dataplane_s r.check_s r.lint_s
           (if r.issues = [] then "" else Printf.sprintf "  workflow %6.3f s" workflow_s);
         Printf.printf
-          "  deterministic: %b  verdicts 1=%d domains: %b  violations: %d  \
-           lint errors: %d  dp speedup %.2fx%s  peak RSS %.1f MB\n"
-          deterministic r.domains verdicts_ok violations lint_errors speedup
+          "  gates ok: %d/%d  violations: %d  lint errors: %d  dp speedup %.2fx (1 vs %d \
+           domains)%s  peak RSS %.1f MB\n"
+          (List.length r.gates - List.length failed)
+          (List.length r.gates) violations lint_errors speedup r.domains
           (if single_core then " (single-core host)" else "")
           (float_of_int rss_kb /. 1024.);
-        List.iter
-          (fun (g : Scale.gate) -> if not g.ok then Printf.printf "  FAIL %s\n" g.name)
-          r.gates;
+        List.iter (fun (g : Scale.gate) -> Printf.printf "  FAIL %s\n" g.name) failed;
         let open Heimdall_json in
         Json.Obj
           ([
@@ -689,16 +689,17 @@ let report_scale () =
              ("dataplane_speedup",
               if single_core then Json.String "skipped-single-core"
               else Json.Float speedup);
-             ("deterministic", Json.Bool deterministic);
-             ("verdicts_identical_across_domains", Json.Bool verdicts_ok);
              ("violations", Json.Int violations);
              ("lint_errors", Json.Int lint_errors);
              ("peak_rss_kb", Json.Int rss_kb);
              ("engine_stats_n_domains", Heimdall_verify.Engine.stats_to_json r.stats_n);
              ( "gates",
-               Json.Obj (List.map (fun (g : Scale.gate) -> (g.name, Json.Bool g.ok)) r.gates) );
+               Json.Obj
+                 (List.map (fun (g : Scale.gate) -> (g.name, Json.Bool g.ok)) r.gates) );
            ]
-          @ if r.issues = [] then [] else [ ("wall_s_workflow_one_issue", Json.Float workflow_s) ]))
+          @
+          if r.issues = [] then []
+          else [ ("wall_s_workflow_one_issue", Json.Float workflow_s) ]))
       [
         ("fat-tree:k=4", `First);
         ("fat-tree:k=8", `First);
@@ -829,10 +830,14 @@ let reports =
     ( "table1",
       report_text "== Table 1: evaluation networks ==\n" (fun () ->
           Experiments.render_table1 (Experiments.table1 ())) );
-    ("fig7", report_fig7 ~title:"== Figure 7: time to solve three real issues (enterprise) ==\n" `Enterprise);
+    ( "fig7",
+      report_fig7 ~title:"== Figure 7: time to solve three real issues (enterprise) ==\n"
+        `Enterprise );
     ( "fig7-university",
       report_fig7
-        ~title:"== Figure 7 (university variant; the paper omits it \"due to similarity\") ==\n"
+        ~title:
+          "== Figure 7 (university variant; the paper omits it \"due to similarity\") \
+           ==\n"
         `University );
     ( "fig8",
       report_sweep ~title:"== Figure 8: feasibility and attack surface (enterprise) ==\n"
@@ -844,8 +849,8 @@ let reports =
     ("lint", report_lint);
     ("sem", report_sem);
     ( "ablation-verify",
-      report_text "== Ablation A1: continuous vs batch policy verification ==\n" (fun () ->
-          Experiments.render_ablation_verify (Experiments.ablation_verify ())) );
+      report_text "== Ablation A1: continuous vs batch policy verification ==\n"
+        (fun () -> Experiments.render_ablation_verify (Experiments.ablation_verify ())) );
     ( "ablation-slicer",
       report_text "== Ablation A2: twin slicing strategies (Figure 5 design space) ==\n"
         (fun () -> Experiments.render_ablation_slicer (Experiments.ablation_slicer ())) );

@@ -181,18 +181,21 @@ let dp_cache_arg =
            them across runs.  Entries are keyed by the network's structural digest, \
            so edits invalidate exactly the affected networks.")
 
+(* Write [items] to [path] as JSON lines through [emit]. *)
+let write_jsonl path what emit items =
+  let sink = Heimdall_obs.Sink.file path in
+  emit sink items;
+  Heimdall_obs.Sink.close sink;
+  Printf.printf "wrote %d %s to %s\n" (List.length items) what path
+
 (* Drain an Obs context to the terminal (span tree + metrics dump) and,
    when requested, to a JSONL trace file.  Shared by [obs] and [ticket]. *)
 let dump_obs ?trace_out ~metrics (obs : Heimdall_obs.Obs.t) =
   let spans = Heimdall_obs.Tracer.flush obs.tracer in
   print_string (Heimdall_obs.Tracer.render_tree spans);
-  (match trace_out with
-  | Some path ->
-      let sink = Heimdall_obs.Sink.file path in
-      Heimdall_obs.Tracer.emit sink spans;
-      Heimdall_obs.Sink.close sink;
-      Printf.printf "wrote %d spans to %s\n" (List.length spans) path
-  | None -> ());
+  Option.iter
+    (fun path -> write_jsonl path "spans" Heimdall_obs.Tracer.emit spans)
+    trace_out;
   let events = Heimdall_obs.Events.events obs.events in
   if events <> [] then begin
     print_endline "events:";
@@ -211,15 +214,19 @@ let dump_obs ?trace_out ~metrics (obs : Heimdall_obs.Obs.t) =
          (Heimdall_obs.Metrics.to_json obs.metrics))
 
 (* Replay a scenario's issues through the instrumented workflow on a
-   shared context: the registry is labeled by scenario (via a scoped
-   engine view) and by session (one scoped view per issue), so every
-   series on the /metrics page says which run produced it.  Shared by
-   [obs] and [serve]. *)
-let replay_issues ~engine ~obs ~(sc : Experiments.scenario) issues =
+   fresh shared context: the registry is labeled by scenario (via a
+   scoped engine view) and by session (one scoped view per issue), so
+   every series on the /metrics page says which run produced it.  Returns
+   the context, its scenario view and the engine.  Shared by [obs] and
+   [serve]. *)
+let replay_issues ?domains ?cache_dir (sc : Experiments.scenario) issues =
+  let obs = Heimdall_obs.Obs.create () in
+  let scoped = Heimdall_obs.Obs.scoped obs [ ("scenario", sc.scenario_name) ] in
+  let engine = Heimdall_verify.Engine.create ?domains ~obs:scoped ?cache_dir () in
   List.iter
     (fun (issue : Heimdall_msp.Issue.t) ->
       let session_obs =
-        Heimdall_obs.Obs.scoped obs [ ("session", issue.Heimdall_msp.Issue.name) ]
+        Heimdall_obs.Obs.scoped scoped [ ("session", issue.Heimdall_msp.Issue.name) ]
       in
       let run =
         Heimdall_msp.Workflow.run_heimdall ~engine ~obs:session_obs
@@ -228,7 +235,8 @@ let replay_issues ~engine ~obs ~(sc : Experiments.scenario) issues =
       Printf.printf "%s: %s, %d denied commands\n" issue.Heimdall_msp.Issue.name
         (if run.Heimdall_msp.Workflow.resolved then "resolved" else "NOT resolved")
         run.Heimdall_msp.Workflow.denied)
-    issues
+    issues;
+  (obs, scoped, engine)
 
 let obs_cmd =
   let prometheus_out_arg =
@@ -239,13 +247,9 @@ let obs_cmd =
           ~doc:"Also write the Prometheus text exposition to $(docv).")
   in
   let run sc issue_name trace_out metrics domains cache_dir prometheus_out =
-    let issues = resolve_issues sc issue_name in
-    let obs = Heimdall_obs.Obs.create () in
-    let scoped =
-      Heimdall_obs.Obs.scoped obs [ ("scenario", sc.Experiments.scenario_name) ]
+    let obs, _, engine =
+      replay_issues ?domains ?cache_dir sc (resolve_issues sc issue_name)
     in
-    let engine = Heimdall_verify.Engine.create ?domains ~obs:scoped ?cache_dir () in
-    replay_issues ~engine ~obs:scoped ~sc issues;
     print_string (Heimdall_verify.Engine.render_stats (Heimdall_verify.Engine.stats engine));
     dump_obs ?trace_out ~metrics obs;
     match prometheus_out with
@@ -294,11 +298,8 @@ let ticket_cmd =
       (Heimdall_msp.Workflow.total_s heimdall -. Heimdall_msp.Workflow.total_s current);
     (match (events_out, obs) with
     | Some path, Some o ->
-        let sink = Heimdall_obs.Sink.file path in
-        let events = Heimdall_obs.Events.events o.events in
-        Heimdall_obs.Events.emit sink events;
-        Heimdall_obs.Sink.close sink;
-        Printf.printf "wrote %d events to %s\n" (List.length events) path
+        write_jsonl path "events" Heimdall_obs.Events.emit
+          (Heimdall_obs.Events.events o.events)
     | _ -> ());
     Option.iter (fun o -> dump_obs ?trace_out ~metrics o) obs
   in
@@ -354,12 +355,7 @@ let serve_cmd =
     at 0
   in
   let run (sc : Experiments.scenario) port interval once domains cache_dir =
-    let obs = Heimdall_obs.Obs.create () in
-    let scoped =
-      Heimdall_obs.Obs.scoped obs [ ("scenario", sc.Experiments.scenario_name) ]
-    in
-    let engine = Heimdall_verify.Engine.create ?domains ~obs:scoped ?cache_dir () in
-    replay_issues ~engine ~obs:scoped ~sc sc.Experiments.issues;
+    let obs, scoped, engine = replay_issues ?domains ?cache_dir sc sc.Experiments.issues in
     (* The monitor watches an observed-network cell; in a real deployment
        the thunk would poll devices, here it reads the cell that --once
        (or a chaos driver) perturbs. *)
@@ -609,7 +605,9 @@ let lint_cmd =
   let open Heimdall_lint in
   let run target json severity domains rules cache_dir =
     unless_rules ~docv:"NETWORK" rules target @@ fun target ->
-    let { Experiments.scenario_name = name; net; issues; _ } = resolve_lint_target target in
+    let { Experiments.scenario_name = name; net; issues; _ } =
+      resolve_lint_target target
+    in
     let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
     let config_findings = Lint.check_network ~engine net in
     (* Also lint the privilege spec Heimdall would generate for each of

@@ -46,7 +46,8 @@ let run_current ~production ~(issue : Issue.t) =
   let session = Rmm.open_direct_session broken in
   let connect = { label = "connect"; human_s = Timing.connect_s; compute_s = 0.0 } in
   let (_ : (string, Session.error) result list), ops_compute =
-    Heimdall_obs.Clock.elapsed (fun () -> Session.exec_many session issue.fix_commands)
+    Heimdall_obs.Clock.elapsed (fun () ->
+        Session.exec_many session issue.fix_commands)
   in
   let operations =
     {
@@ -81,7 +82,8 @@ let prepare ?(strategy = Slicer.Task) ?obs ~production (issue : Issue.t) =
     Twin.slice_nodes ~strategy ?obs ~production:broken
       ~endpoints:issue.ticket.endpoints ()
   in
-  { issue; broken; slice; privilege = Priv_gen.for_ticket ~network:broken ~slice issue.ticket }
+  let privilege = Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
+  { issue; broken; slice; privilege }
 
 let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
     ~production ~policies ~(issue : Issue.t) () =
@@ -98,7 +100,8 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
       (* Step 1: generate the Privilege_msp. *)
       let { broken; slice; privilege; _ }, privgen_compute =
         Heimdall_obs.Obs.span obs "workflow.generate_privilege" (fun () ->
-            Heimdall_obs.Clock.elapsed (fun () -> prepare ~strategy ?obs ~production issue))
+            Heimdall_obs.Clock.elapsed (fun () ->
+                prepare ~strategy ?obs ~production issue))
       in
       let privgen =
         {
@@ -161,7 +164,8 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
         Heimdall_obs.Obs.span obs "workflow.operations"
           ~attrs:[ ("commands", string_of_int (List.length issue.fix_commands)) ]
           (fun () ->
-            Heimdall_obs.Clock.elapsed (fun () -> Session.exec_many session issue.fix_commands))
+            Heimdall_obs.Clock.elapsed (fun () ->
+                Session.exec_many session issue.fix_commands))
       in
       let operations =
         {

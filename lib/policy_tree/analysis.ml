@@ -403,4 +403,5 @@ let seed_acl004 net =
         |> Acl.add_rule (rule 2 Acl.Permit "10.250.128.0/17")
         |> Acl.add_rule (rule 3 Acl.Deny "10.250.0.0/16")
       in
-      Ok (Network.with_config node (Heimdall_config.Ast.update_acl acl cfg) net, node, acl.name)
+      let net = Network.with_config node (Heimdall_config.Ast.update_acl acl cfg) net in
+      Ok (net, node, acl.name)

@@ -58,7 +58,8 @@ val seed_pol004 : Poltree.t -> (Poltree.t, string) result
     tree refined must now disagree (POL004) with a witness flow. *)
 
 val seed_acl004 :
-  Heimdall_control.Network.t -> (Heimdall_control.Network.t * string * string, string) result
+  Heimdall_control.Network.t ->
+  (Heimdall_control.Network.t * string * string, string) result
 (** Append to the first ACL of the network a deterministic union-shadow
     defect: two /17 permits whose union exactly covers a later /16 deny.
     Only the packet-set algebra (ACL004) can see it.  Returns the network

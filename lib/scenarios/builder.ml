@@ -60,6 +60,7 @@ let switch t name = add_node t name Topology.Switch
 let host t name = add_node t name Topology.Host
 let firewall t name = add_node t name Topology.Firewall
 
+(* Allocate the next interface name ("eth<N>") on a node. *)
 let fresh_iface t node =
   ignore (node_state t node);
   let n = Option.value (Hashtbl.find_opt t.iface_counter node) ~default:0 in
@@ -121,6 +122,8 @@ let svi ?area t node id addr =
   | Some area -> add_ospf_network t node (Ifaddr.subnet addr) area
   | None -> ()
 
+(* Wire [peer]'s next fresh interface to a fresh access port (switchport
+   access [vlan]) on [dev]. *)
 let access_link t ~dev ~peer ~vlan:v =
   vlan t dev v (Printf.sprintf "vlan%d" v);
   let dev_if = fresh_iface t dev in

@@ -43,10 +43,6 @@ val svi : ?area:int -> t -> string -> int -> Ifaddr.t -> unit
 (** Add an SVI ([interface vlan<id>]) with the given address; defines the
     VLAN implicitly (named "vlan<id>") if not already defined. *)
 
-val access_link : t -> dev:string -> peer:string -> vlan:int -> unit
-(** Wire [peer]'s next fresh interface to a fresh access port (switchport
-    access [vlan]) on [dev]. *)
-
 val trunk_link : t -> string -> string -> vlans:int list -> unit
 (** Wire a trunk between two devices (switchport trunk on both ends). *)
 
@@ -76,9 +72,6 @@ val secret : t -> string -> Ast.secret -> unit
 val ospf_router_id : t -> string -> Ipv4.t -> unit
 val ospf_network : t -> string -> Prefix.t -> int -> unit
 (** Explicitly add an OSPF network statement (normally done by [p2p]/[svi]). *)
-
-val fresh_iface : t -> string -> string
-(** Allocate the next interface name ("eth<N>") on a node. *)
 
 val find_iface_to : t -> string -> string -> string option
 (** [find_iface_to t a b] is the name of the first of [a]'s interfaces

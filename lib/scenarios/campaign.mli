@@ -41,6 +41,8 @@ val run : ?seed:int -> ?tickets:int -> ?malicious_pct:int -> Network.t ->
     (round-robin) from the provided issues. *)
 
 val heimdall_session_for :
-  Network.t -> Heimdall_msp.Ticket.t -> Heimdall_twin.Session.t * Heimdall_privilege.Privilege.t
+  Network.t ->
+  Heimdall_msp.Ticket.t ->
+  Heimdall_twin.Session.t * Heimdall_privilege.Privilege.t
 (** A technician's twin session for [ticket] on [net] under the generated
     least-privilege grant, and that grant. *)

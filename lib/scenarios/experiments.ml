@@ -316,7 +316,9 @@ let ablation_audit () =
               ~verdict:"allowed" !audit
         done)
   in
-  let verified, verify_s = Heimdall_obs.Clock.elapsed (fun () -> Audit.verify !audit = Ok ()) in
+  let verified, verify_s =
+    Heimdall_obs.Clock.elapsed (fun () -> Audit.verify !audit = Ok ())
+  in
   let enclave = Enforcer.default_enclave in
   let iterations = 100 in
   let (), seal_total_s =

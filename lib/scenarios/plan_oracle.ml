@@ -66,7 +66,8 @@ let check ?engine ?policies ~label r =
     denied = Session.denied_count r.session;
     rejected =
       List.length
-        (Heimdall_enforcer.Verifier.privilege_rejections ~privilege:p.privilege r.changes);
+        (Heimdall_enforcer.Verifier.privilege_rejections ~privilege:p.privilege
+           r.changes);
   }
 
 let sufficiency_agrees v = (not v.sufficient) || (v.denied = 0 && v.rejected = 0)

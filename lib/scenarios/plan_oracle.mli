@@ -30,7 +30,8 @@ type verdict = {
   delta_contained : bool;  (** The exact ACL diff lies in the predicted delta. *)
   sufficient : bool;  (** The grant is statically proven sufficient. *)
   denied : int;  (** Commands the twin monitor denied. *)
-  rejected : int;  (** Changes {!Heimdall_enforcer.Verifier.privilege_rejections} rejects. *)
+  rejected : int;
+      (** Changes {!Heimdall_enforcer.Verifier.privilege_rejections} rejects. *)
 }
 
 val check :

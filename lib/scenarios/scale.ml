@@ -24,12 +24,8 @@ type t = {
   peak_rss_kb : int option;
 }
 
-let errors findings =
-  List.filter
-    (fun (d : Heimdall_lint.Diagnostic.t) -> d.severity = Heimdall_lint.Diagnostic.Error)
-    findings
-
-let lint_errors t = errors t.findings
+let lint_errors t =
+  Heimdall_lint.Lint.filter ~min_severity:Heimdall_lint.Diagnostic.Error t.findings
 let passed t = List.for_all (fun g -> g.ok) t.gates
 
 (* What must be byte-identical across domain counts: the verdicts, not
@@ -41,7 +37,9 @@ let run ?domains ?cache_dir ~issues params =
   let fleet, generate_s = Clock.elapsed (fun () -> Fleetgen.generate params) in
   let again = Fleetgen.generate params in
   let validation = Network.validate fleet.net in
-  let n = match domains with Some n -> max 1 n | None -> max 2 (Engine.default_domains ()) in
+  let n =
+    match domains with Some n -> max 1 n | None -> max 2 (Engine.default_domains ())
+  in
   let engine1 = Engine.create ~domains:1 ?cache_dir () in
   let engine_n = Engine.create ~domains:n () in
   let findings, lint_s =
@@ -84,7 +82,8 @@ let run ?domains ?cache_dir ~issues params =
       gate Generation "deterministic regeneration (policies)"
         (List.equal Policy.equal fleet.policies again.policies);
       gate Generation "network validation" (validation = Ok ());
-      gate Lint "lint clean (no error severity)" (errors findings = []);
+      gate Lint "lint clean (no error severity)"
+        (not (Heimdall_lint.Lint.has_errors findings));
       gate Verify "zero policy violations" (report.violations = []);
       gate Verify
         (Printf.sprintf "verdicts identical at 1 vs %d domains" n)

@@ -30,7 +30,11 @@ type t = {
 }
 
 val run :
-  ?domains:int -> ?cache_dir:string -> issues:[ `All | `First | `None ] -> Fleetgen.params -> t
+  ?domains:int ->
+  ?cache_dir:string ->
+  issues:[ `All | `First | `None ] ->
+  Fleetgen.params ->
+  t
 (** [?domains] sizes the N-domain engine (default {!Engine.default_domains},
     at least 2); [?cache_dir] backs the one-domain engine's persistent
     dataplane cache.  [~issues] picks which of the fleet's issues run

@@ -5,6 +5,7 @@ open Heimdall_msp
 
 let web_server = "web1"
 let mail_server = "mail1"
+(* The datacentre block that fw1 protects. *)
 let sensitive_prefix = Prefix.of_string "10.16.0.0/16"
 
 let p = Prefix.of_string

@@ -10,7 +10,6 @@
     produce the ~175-policy matrix; fw1 guards the server subnets, which
     upgrades server-bound policies to waypoint policies. *)
 
-open Heimdall_net
 open Heimdall_control
 
 val build : unit -> Network.t
@@ -26,6 +25,3 @@ val issues : Network.t -> Heimdall_msp.Issue.t list
     uplinks), [isp] (edge renumbering). *)
 
 val web_server : string
-val mail_server : string
-val sensitive_prefix : Prefix.t
-(** The datacentre block 10.16.0.0/16 that fw1 protects. *)

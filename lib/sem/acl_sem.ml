@@ -38,31 +38,24 @@ let diff_is_empty d =
   Packet_set.is_empty d.newly_permitted && Packet_set.is_empty d.newly_denied
 
 let network_diffs ~before ~after =
-  let open Heimdall_control in
   let acls node net =
-    match Network.config node net with
+    match Heimdall_control.Network.config node net with
     | Some (cfg : Heimdall_config.Ast.t) -> cfg.acls
     | None -> []
   in
+  let find name acls =
+    Option.value ~default:(Acl.empty name)
+      (List.find_opt (fun (a : Acl.t) -> a.name = name) acls)
+  in
   List.concat_map
     (fun node ->
-      let names =
-        List.sort_uniq String.compare
-          (List.map (fun (a : Acl.t) -> a.name) (acls node before @ acls node after))
-      in
+      let b = acls node before and a = acls node after in
       List.filter_map
         (fun name ->
-          let find net =
-            match Network.config node net with
-            | Some cfg ->
-                Option.value (Heimdall_config.Ast.find_acl name cfg)
-                  ~default:(Acl.empty name)
-            | None -> Acl.empty name
-          in
-          let d = diff ~before:(find before) ~after:(find after) in
+          let d = diff ~before:(find name b) ~after:(find name a) in
           if diff_is_empty d then None else Some (node, name, d))
-        names)
-    (Network.node_names after)
+        (List.sort_uniq String.compare (List.map (fun (x : Acl.t) -> x.name) (b @ a))))
+    (Heimdall_control.Network.node_names after)
 
 let diff_witnesses d =
   (match Packet_set.sample d.newly_permitted with

@@ -16,6 +16,7 @@ let strategy_of_string = function
   | "task" -> Some Task
   | _ -> None
 
+(* Extra hops beyond the shortest path that [Task] considers plausible. *)
 let path_slack = 2
 
 let pairs endpoints =

@@ -26,7 +26,3 @@ val slice : strategy -> Network.t -> endpoints:string list -> string list
 
 val slice_network : strategy -> Network.t -> endpoints:string list -> Network.t
 (** {!slice} then {!Network.restrict}. *)
-
-val path_slack : int
-(** Extra hops beyond the shortest path that [Task] considers plausible
-    (2). *)
