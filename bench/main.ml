@@ -50,7 +50,6 @@ let persist_report ~key json =
 (* Paper-shaped reports                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A paper artifact that is only rendered: a title, the text, a blank line. *)
 let report_text title render () =
   print_string title;
   print_string (render ());

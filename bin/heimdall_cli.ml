@@ -181,7 +181,6 @@ let dp_cache_arg =
            them across runs.  Entries are keyed by the network's structural digest, \
            so edits invalidate exactly the affected networks.")
 
-(* Write [items] to [path] as JSON lines through [emit]. *)
 let write_jsonl path what emit items =
   let sink = Heimdall_obs.Sink.file path in
   emit sink items;
