@@ -1,0 +1,218 @@
+open Heimdall_net
+open Heimdall_config
+
+type iface = { router : string; iface : string; addr : Ifaddr.t; area : int; cost : int }
+
+let default_cost = 10
+
+let enabled_interfaces net =
+  List.concat_map
+    (fun (router, (cfg : Ast.t)) ->
+      match cfg.ospf with
+      | None -> []
+      | Some o ->
+          List.filter_map
+            (fun (i : Ast.interface) ->
+              match i.addr with
+              | Some addr when i.enabled -> (
+                  let statement =
+                    List.find_opt
+                      (fun (p, _) -> Prefix.contains p (Ifaddr.address addr))
+                      o.networks
+                  in
+                  match statement with
+                  | None -> None
+                  | Some (_, stmt_area) ->
+                      let area = Option.value i.ospf_area ~default:stmt_area in
+                      let cost = Option.value i.ospf_cost ~default:default_cost in
+                      Some { router; iface = i.if_name; addr; area; cost })
+              | _ -> None)
+            cfg.interfaces)
+    (Network.configs net)
+
+let adjacencies net l2 =
+  let ifaces = enabled_interfaces net in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest ->
+        List.filter_map
+          (fun b ->
+            if
+              a.router <> b.router && a.area = b.area
+              && Ifaddr.same_subnet a.addr b.addr
+              && L2.same_domain
+                   { Topology.node = a.router; iface = a.iface }
+                   { Topology.node = b.router; iface = b.iface }
+                   l2
+            then Some (if a.router < b.router then (a, b) else (b, a))
+            else None)
+          rest
+        @ pairs rest
+  in
+  pairs ifaces
+
+(* The routing computation below is a simplified SPF + inter-area summary
+   propagation:
+   1. build one weighted graph per area from the formed adjacencies;
+   2. every attached subnet is "originated" into its area at its interface
+      cost (default-originate routers originate 0.0.0.0/0 at cost 1);
+   3. propagate summaries across area border routers to a fixpoint,
+      keeping for each (router, prefix) the best metric and the first-hop
+      neighbour it was learned through. *)
+
+type learned = { metric : int; via : (string * int) option (* neighbour, area *) }
+
+let all_routes net l2 =
+  let ifaces = enabled_interfaces net in
+  let adjs = adjacencies net l2 in
+  let areas =
+    List.fold_left (fun acc i -> if List.mem i.area acc then acc else i.area :: acc) [] ifaces
+  in
+  (* Per-area adjacency graphs. *)
+  let graph_of_area area =
+    List.fold_left
+      (fun g (a, b) ->
+        if a.area = area then
+          g
+          |> Graph.add_edge ~src:a.router ~dst:b.router ~weight:a.cost ~label:()
+          |> Graph.add_edge ~src:b.router ~dst:a.router ~weight:b.cost ~label:()
+        else g)
+      Graph.empty adjs
+  in
+  let area_graphs = List.map (fun a -> (a, graph_of_area a)) areas in
+  (* Distance/path tables, computed lazily per (area, source). *)
+  let sp_cache : (int * string, (string, int * string list) Hashtbl.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let sp area src =
+    match Hashtbl.find_opt sp_cache (area, src) with
+    | Some tbl -> tbl
+    | None ->
+        let g = List.assoc area area_graphs in
+        let tbl = Graph.shortest_paths src g in
+        Hashtbl.replace sp_cache (area, src) tbl;
+        tbl
+  in
+  let routers_in_area area =
+    List.filter_map (fun i -> if i.area = area then Some i.router else None) ifaces
+    |> List.sort_uniq String.compare
+  in
+  let areas_of r =
+    List.filter_map (fun i -> if i.router = r then Some i.area else None) ifaces
+    |> List.sort_uniq Int.compare
+  in
+  (* Origins: (prefix, originating router, area, origin cost). *)
+  let origins =
+    List.map (fun i -> (Ifaddr.subnet i.addr, i.router, i.area, i.cost)) ifaces
+    @ List.concat_map
+        (fun (r, (cfg : Ast.t)) ->
+          match cfg.ospf with
+          | Some o when o.default_originate ->
+              List.map (fun a -> (Prefix.any, r, a, 1)) (areas_of r)
+          | _ -> [])
+        (Network.configs net)
+  in
+  (* best.(router)(prefix) -> learned *)
+  let best : (string * string, learned) Hashtbl.t = Hashtbl.create 64 in
+  let update r prefix (cand : learned) =
+    let key = (r, Prefix.to_string prefix) in
+    match Hashtbl.find_opt best key with
+    | Some cur when cur.metric <= cand.metric -> false
+    | _ ->
+        Hashtbl.replace best key cand;
+        true
+  in
+  let learn_via_area area advertiser prefix base_metric =
+    (* Every router in [area] can learn [prefix] through [advertiser]. *)
+    List.fold_left
+      (fun changed r ->
+        if r = advertiser then changed
+        else
+          match Hashtbl.find_opt (sp area r) advertiser with
+          | None -> changed
+          | Some (d, path) ->
+              let via =
+                match path with _ :: hop :: _ -> Some (hop, area) | _ -> None
+              in
+              if via = None then changed
+              else update r prefix { metric = d + base_metric; via } || changed)
+      false (routers_in_area area)
+  in
+  let iterate () =
+    let changed = ref false in
+    (* Seed: intra-area. *)
+    List.iter
+      (fun (prefix, origin, area, cost) ->
+        if learn_via_area area origin prefix cost then changed := true;
+        (* The originator itself reaches the prefix at its own cost —
+           recorded so ABRs can re-advertise subnets they are attached to. *)
+        if
+          update origin prefix { metric = cost; via = None }
+        then changed := true)
+      origins;
+    (* Propagate through ABRs. *)
+    let snapshot = Hashtbl.fold (fun k v acc -> (k, v) :: acc) best [] in
+    List.iter
+      (fun ((r, prefix_s), l) ->
+        let r_areas = areas_of r in
+        if List.length r_areas > 1 then
+          let prefix = Prefix.of_string prefix_s in
+          let learned_area = match l.via with Some (_, a) -> Some a | None -> None in
+          List.iter
+            (fun b ->
+              if learned_area <> Some b then
+                if learn_via_area b r prefix l.metric then changed := true)
+            r_areas)
+      snapshot;
+    !changed
+  in
+  let rec fixpoint n = if n > 0 && iterate () then fixpoint (n - 1) in
+  fixpoint 16;
+  (* Materialise per-router routes. *)
+  let subnets_of router =
+    List.filter_map
+      (fun i -> if i.router = router then Some (Ifaddr.subnet i.addr) else None)
+      ifaces
+  in
+  (* Adjacency detail lookup: (router, neighbour) -> egress iface, next-hop
+     address; choose the lowest-cost egress on ties. *)
+  let edge_detail router neighbour area =
+    let candidates =
+      List.filter_map
+        (fun (a, b) ->
+          if a.router = router && b.router = neighbour && a.area = area then Some (a, b)
+          else if b.router = router && a.router = neighbour && b.area = area then
+            Some (b, a)
+          else None)
+        adjs
+    in
+    match List.sort (fun (a, _) (b, _) -> Int.compare a.cost b.cost) candidates with
+    | (mine, theirs) :: _ -> Some (mine.iface, Ifaddr.address theirs.addr)
+    | [] -> None
+  in
+  let per_router = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun (router, prefix_s) l ->
+      let prefix = Prefix.of_string prefix_s in
+      if not (List.exists (Prefix.equal prefix) (subnets_of router)) then
+        match l.via with
+        | None -> ()
+        | Some (hop, area) -> (
+            match edge_detail router hop area with
+            | None -> ()
+            | Some (out_iface, next_hop) ->
+                let route =
+                  {
+                    Fib.prefix;
+                    next_hop = Some next_hop;
+                    out_iface;
+                    protocol = Fib.Ospf;
+                    distance = Fib.admin_distance Fib.Ospf;
+                    metric = l.metric;
+                  }
+                in
+                let cur = Option.value (Hashtbl.find_opt per_router router) ~default:[] in
+                Hashtbl.replace per_router router (route :: cur)))
+    best;
+  Hashtbl.fold (fun r rs acc -> (r, rs) :: acc) per_router []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

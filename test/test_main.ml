@@ -7,6 +7,7 @@ let () =
       ("json", Test_json.suite);
       ("config", Test_config.suite);
       ("control", Test_control.suite);
+      ("ospf", Test_ospf.suite);
       ("verify", Test_verify.suite);
       ("privilege", Test_privilege.suite);
       ("lint", Test_lint.suite);
