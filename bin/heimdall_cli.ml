@@ -1329,10 +1329,7 @@ let shell_cmd =
         (Heimdall_enforcer.Audit.to_string (Heimdall_msp.Emergency.audit session))
     end
     else begin
-      let em =
-        Heimdall_twin.Twin.build ~production:broken
-          ~endpoints:issue.Heimdall_msp.Issue.ticket.endpoints ()
-      in
+      let em = Heimdall_twin.Twin.of_slice ~production:broken slice in
       let session = Heimdall_twin.Twin.open_session ~privilege em in
       repl "heimdall(twin)> " (fun line ->
           Result.map_error Heimdall_twin.Session.error_to_string

@@ -34,8 +34,13 @@ let run_to_string r =
     r.steps;
   Buffer.contents buf
 
-let probe_resolved (issue : Issue.t) net =
-  Trace.is_delivered (Trace.trace (Dataplane.compute net) issue.probe)
+let probe_resolved ?engine (issue : Issue.t) net =
+  let dp =
+    match engine with
+    | Some engine -> Engine.dataplane engine net
+    | None -> Dataplane.compute net
+  in
+  Trace.is_delivered (Trace.trace dp issue.probe)
 
 (* Human time for executing a prepared script: one connect is already
    counted separately, so only the per-command cost accrues here. *)
@@ -144,10 +149,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
       let emulation, twin_compute =
         Heimdall_obs.Obs.span obs "workflow.twin_setup" (fun () ->
             Heimdall_obs.Clock.elapsed (fun () ->
-                let em =
-                  Twin.build ~strategy ?obs ~production:broken
-                    ~endpoints:issue.ticket.endpoints ()
-                in
+                let em = Twin.of_slice ?obs ~production:broken slice in
                 ignore (Emulation.dataplane em);
                 em))
       in
@@ -201,7 +203,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
           steps = [ privgen; twin_setup; connect; operations; verify; save ];
           resolved =
             outcome.Heimdall_enforcer.Enforcer.approved
-            && probe_resolved issue final_network;
+            && probe_resolved ?engine issue final_network;
           denied = Session.denied_count session;
           session;
           outcome = Some outcome;

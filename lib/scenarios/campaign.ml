@@ -126,7 +126,7 @@ let heimdall_session_for net ticket =
     Heimdall_twin.Twin.slice_nodes ~production:net ~endpoints:ticket.Ticket.endpoints ()
   in
   let privilege = Priv_gen.for_ticket ~network:net ~slice ticket in
-  let em = Heimdall_twin.Twin.build ~production:net ~endpoints:ticket.Ticket.endpoints () in
+  let em = Heimdall_twin.Twin.of_slice ~production:net slice in
   (Heimdall_twin.Twin.open_session ~privilege em, privilege)
 
 let generic_ticket net =

@@ -70,10 +70,8 @@ let run ?engine ?obs ?(max_attempts = Heimdall_enforcer.Applier.default_max_atte
     (fun () ->
       let production = scenario.Experiments.net in
       let policies = scenario.Experiments.policies in
-      let { Workflow.broken; privilege; _ } = Workflow.prepare ?obs ~production issue in
-      let emulation =
-        Twin.build ?obs ~production:broken ~endpoints:issue.ticket.endpoints ()
-      in
+      let { Workflow.broken; slice; privilege; _ } = Workflow.prepare ?obs ~production issue in
+      let emulation = Twin.of_slice ?obs ~production:broken slice in
       let injector =
         Injector.create ?obs
           (Fault.for_twin ~seed ~edits:(count_edits issue.fix_commands))

@@ -12,9 +12,7 @@ type replay = {
 
 let replay (prepared : Workflow.prepared) =
   let issue = prepared.issue in
-  let emulation =
-    Twin.build ~production:prepared.broken ~endpoints:issue.ticket.endpoints ()
-  in
+  let emulation = Twin.of_slice ~production:prepared.broken prepared.slice in
   let session = Twin.open_session ~privilege:prepared.privilege emulation in
   ignore (Session.exec_many session issue.fix_commands);
   { prepared; emulation; session; changes = Emulation.changes emulation }

@@ -66,9 +66,8 @@ let with_env_stubs production sliced slice =
     Network.make !topo (Network.configs sliced @ stub_configs)
   end
 
-let build ?(strategy = Slicer.Task) ?(env_stubs = false) ?obs ~production ~endpoints () =
+let of_slice ?(env_stubs = false) ?obs ~production slice =
   Heimdall_obs.Obs.span obs "twin.build" (fun () ->
-      let slice = slice_nodes ~strategy ?obs ~production ~endpoints () in
       let sliced = Network.restrict slice production in
       let sliced = if env_stubs then with_env_stubs production sliced slice else sliced in
       let scrubbed =
@@ -79,6 +78,9 @@ let build ?(strategy = Slicer.Task) ?(env_stubs = false) ?obs ~production ~endpo
       in
       Heimdall_obs.Obs.add_attr obs "nodes" (string_of_int (List.length slice));
       Emulation.create scrubbed)
+
+let build ?strategy ?env_stubs ?obs ~production ~endpoints () =
+  of_slice ?env_stubs ?obs ~production (slice_nodes ?strategy ?obs ~production ~endpoints ())
 
 let open_session ?technician ?obs ~privilege emulation =
   Session.create ?technician ?obs ~privilege emulation

@@ -23,6 +23,16 @@ val build :
     config, secrets, or onward topology (the paper's Challenge 2 fidelity
     refinement). *)
 
+val of_slice :
+  ?env_stubs:bool ->
+  ?obs:Heimdall_obs.Obs.t ->
+  production:Network.t ->
+  string list ->
+  Emulation.t
+(** The twin's emulation layer over an already computed slice (see
+    {!slice_nodes}): [build] is [slice_nodes] followed by [of_slice], so a
+    caller that holds the ticket's slice need not compute it again. *)
+
 val open_session :
   ?technician:string -> ?obs:Heimdall_obs.Obs.t -> privilege:Privilege.t ->
   Emulation.t -> Session.t
